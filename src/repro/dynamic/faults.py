@@ -40,7 +40,9 @@ def drop_buffered_packets(router, nodes: "Iterable[int]") -> int:
     <repro.sim.stats.RoutingStats.record_churn_drops>`.  Unknown router
     shapes raise so silent packet leaks cannot happen.
     """
-    node_list = [int(v) for v in nodes]
+    # A node removed twice in one step (fail, recover, fail) is listed
+    # twice; its buffer is charged once.
+    node_list = list(dict.fromkeys(int(v) for v in nodes))
     if not node_list:
         return 0
     heights = getattr(router, "heights", None)

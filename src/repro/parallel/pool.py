@@ -14,31 +14,38 @@ serial path by construction:
   ``_edge_dirs``, conflict rows) is inherited copy-on-write and kept in
   sync by diffs.
 * **One sync per phase.**  Per batch the parent runs phase A (serial
-  mutations — geometry lands in the shared arrays) and sends each worker
-  one message: the batch's mutation records (private bucket bookkeeping),
-  the repair contexts of the groups *assigned* to it (routed by the tile
-  of their first anchor), and the **foreign diffs** of the previous batch
-  (the groups other workers repaired).  Workers replay foreign diffs,
-  replay the records, repair their groups with
-  ``collect_diff=True``, and reply with compact state diffs — the halo
-  exchange is double-buffered: batch *k*'s diffs travel inside batch
-  *k+1*'s message, so there is exactly one send and one receive per
-  worker per batch.
+  mutations — geometry lands in the shared arrays), builds every
+  worker's message, then sends each worker one: the batch's mutation
+  records (private bucket bookkeeping), the repair contexts of the
+  groups *assigned* to it (routed by the tile of their first anchor),
+  and the **foreign diffs** of the previous batch (the groups other
+  workers repaired).  Workers replay foreign diffs, replay the records,
+  repair their groups with ``collect_diff=True``, and reply with
+  compact state diffs — the halo exchange is double-buffered: batch
+  *k*'s diffs travel inside batch *k+1*'s message, so there is exactly
+  one send and one receive per worker per batch.  The parent splices
+  each reply into its replica as it arrives, while the other workers
+  still repair.
 * **Halo subscriptions.**  With ``halo_filter=True`` (default) a diff is
   shipped to a worker *eagerly* only when one of its group's anchors
   falls within the worker's territory — its owned tiles expanded by the
   subscription radius (9+3Δ)D, which covers both future group repairs
   and the pool-side MAC read region (see :meth:`TileWorkerPool.mac_step`).
-  Everything else parks in a per-worker ordered backlog and is *caught
+  Everything else parks in a per-worker backlog, ordered by ``seq`` and
+  indexed by grid cells as wide as the catch-up radius, and is *caught
   up* lazily: at send time any backlog diff whose anchors come within
   the 2(4+Δ)D independence radius of the batch's assigned-group anchors
-  is delivered, together with every **earlier** backlog diff whose
-  region overlaps a delivered one (a backward transitive-closure pass —
-  replay order between overlapping diffs must match splice order).  A
-  replica is therefore exact wherever it is about to read, while fully
-  disjoint regions never cross the pipe; the parent replica still
-  applies every diff and remains globally exact.  The backlog is capped
-  (``max_backlog``) by a flush-everything delivery.
+  is delivered, together with the backlog diffs whose regions overlap a
+  delivered one — a delivered diff needs every **earlier** overlapping
+  diff, since replay order between overlapping diffs must match splice
+  order.  The candidates come from the 3×3 cell neighbourhoods of the
+  anchors, so catch-up costs O(entries near the batch), not
+  O(backlog).  A replica is therefore exact wherever it is about to
+  read, while fully disjoint regions never cross the pipe; the parent
+  replica still applies every diff and remains globally exact.  The
+  backlog is capped (``max_backlog``) by a flush-everything delivery:
+  the batch that flushes replays the whole backlog, a step-time spike
+  every few hundred batches on a workload whose regions never meet.
 * **Exact replay.**  Diffs replay the repairer's transition sequence
   verbatim (:meth:`IncrementalTheta.apply_repair_diff`,
   :meth:`DynamicInterference.apply_row_diff`), so parent and every
@@ -98,6 +105,63 @@ def _diff_size(topo_diff: dict, row_diff: "dict | None") -> int:
     if row_diff is not None:
         n += len(row_diff["rows"]) + len(row_diff["added"]) + len(row_diff["removed"])
     return n
+
+
+def _cell_keys(anchors: np.ndarray, side: float) -> tuple:
+    """The distinct grid cells (of side ``side``) holding ``anchors``."""
+    if len(anchors) == 0:
+        return ()
+    ij = np.floor(anchors / side).astype(np.int64).tolist()
+    return tuple(dict.fromkeys(map(tuple, ij)))
+
+
+class _Backlog:
+    """One worker's withheld diffs, in ``seq`` order, indexed by grid cell.
+
+    Entries are ``(seq, anchors, tdiff, rdiff, cells)``; ``cells`` are
+    the :func:`_cell_keys` of the anchors.  Cells are slightly wider
+    than the catch-up radius, so every entry with an anchor within the
+    radius of a point sits in that point's 3×3 cell neighbourhood.
+    """
+
+    def __init__(self) -> None:
+        self.entries: "dict[int, tuple]" = {}
+        self._cells: "dict[tuple[int, int], dict[int, None]]" = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def add(self, entry: tuple) -> None:
+        seq = entry[0]
+        self.entries[seq] = entry
+        for c in entry[4]:
+            self._cells.setdefault(c, {})[seq] = None
+
+    def pop(self, seq: int) -> tuple:
+        entry = self.entries.pop(seq)
+        for c in entry[4]:
+            bucket = self._cells[c]
+            del bucket[seq]
+            if not bucket:
+                del self._cells[c]
+        return entry
+
+    def take_all(self) -> list:
+        out = list(self.entries.values())
+        self.entries.clear()
+        self._cells.clear()
+        return out
+
+    def around(self, cells) -> "list[int]":
+        """Seqs of the entries with an anchor in the 3×3 neighbourhoods of ``cells``."""
+        found: "dict[int, None]" = {}
+        for cx, cy in cells:
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    bucket = self._cells.get((cx + dx, cy + dy))
+                    if bucket:
+                        found.update(bucket)
+        return list(found)
 
 
 def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
@@ -360,17 +424,24 @@ class TileWorkerPool:
         #: Catch-up radius: two repair regions can only overlap when
         #: their anchor sets come within 2(4+Δ)D of each other.
         self._need_radius = independence_radius(D, delta) * (1.0 + _SLACK)
-        self._owned_tiles = [
-            tuple(range(w, grid.n_tiles, self.workers)) for w in range(self.workers)
-        ]
+        #: Backlog cell side: the slack keeps float rounding in the
+        #: cell floor from pushing a within-radius pair two cells apart.
+        self._cell = self._need_radius * (1.0 + _SLACK)
+        #: Subscription rectangles of every tile, as columns
+        #: (lo_x, lo_y, hi_x, hi_y); tile t belongs to worker t % workers.
+        self._territory = np.array(
+            [grid.halo_rect(t, self._sub_radius) for t in range(grid.n_tiles)],
+            dtype=np.float64,
+        ).T
         self._closed = False
         self._procs = []
         self._conns = []
         #: Eagerly-subscribed diffs of the previous batch, staged per
-        #: worker (double buffer); entries are (seq, anchors, tdiff, rdiff).
+        #: worker (double buffer); entries are
+        #: (seq, anchors, tdiff, rdiff, cells).
         self._pending: "list[list]" = [[] for _ in range(self.workers)]
         #: Suppressed diffs per worker, ordered by seq, awaiting catch-up.
-        self._backlog: "list[list]" = [[] for _ in range(self.workers)]
+        self._backlog = [_Backlog() for _ in range(self.workers)]
         self._seq = 0
         #: Cumulative halo-traffic accounting (also merged into each
         #: worker's telemetry snapshot).
@@ -492,27 +563,39 @@ class TileWorkerPool:
             assigned[wid].append((gid, ctxs, moved))
             need_anchors[wid].append(anchors)
 
-        tracing = trace.is_enabled()
-        diff_bytes = 0
-        diffs_replayed = 0
+        # Drain every worker's foreign list before the first send, so
+        # no worker waits on the parent's catch-up for another.
+        foreign = []
         for wid in range(self.workers):
             na = need_anchors[wid]
-            foreign = self._drain(
-                wid, np.vstack(na) if na else np.empty((0, 2), dtype=np.float64)
+            foreign.append(
+                self._drain(
+                    wid, np.vstack(na) if na else np.empty((0, 2), dtype=np.float64)
+                )
             )
-            diffs_replayed += len(foreign)
-            if tracing and foreign:
-                # Wire size of the halo exchange actually shipped.
-                diff_bytes += len(pickle.dumps(foreign))
-            self._send(wid, ("batch", foreign, records, assigned[wid]))
+        for wid in range(self.workers):
+            self._send(wid, ("batch", foreign[wid], records, assigned[wid]))
+        diffs_replayed = sum(len(f) for f in foreign)
+        diff_bytes = 0
+        if trace.is_enabled():
+            # Wire size of the halo exchange actually shipped.
+            diff_bytes = sum(len(pickle.dumps(f)) for f in foreign if f)
 
-        replies = self._recv_all()
+        # Splice each reply into the parent replica as it arrives, while
+        # the other workers still repair (groups touch disjoint state —
+        # any splice order yields the same state).
+        def splice(reply) -> None:
+            for _, _, tdiff, _, rdiff in reply:
+                inc.apply_repair_diff(tdiff)
+                if di is not None and rdiff is not None:
+                    di.apply_row_diff(rdiff, _sync=False)
 
-        # Splice every group's diffs in group order (disjoint regions —
-        # any order yields the same state) and stage them as the other
+        replies = self._recv_all(splice)
+
+        # Stage every group's diffs, in group order, as the other
         # workers' foreign diffs for the next batch: eagerly for workers
         # whose territory the group's anchors touch, backlogged for the
-        # rest.
+        # rest.  Group order fixes the seqs, hence every later delivery.
         results = []
         for wid, reply in enumerate(replies):
             for gid, rs, tdiff, cs, rdiff in reply:
@@ -523,9 +606,6 @@ class TileWorkerPool:
         halo = 0
         diffs_suppressed = 0
         for gid, wid, rs, tdiff, cs, rdiff in results:
-            inc.apply_repair_diff(tdiff)
-            if di is not None and rdiff is not None:
-                di.apply_row_diff(rdiff, _sync=False)
             repairs.append(rs)
             if cs is not None:
                 conflict_repairs.append(cs)
@@ -585,27 +665,28 @@ class TileWorkerPool:
         dy = a[:, None, 1] - b[None, :, 1]
         return bool((dx * dx + dy * dy <= r * r).any())
 
-    def _in_territory(self, wid: int, anchors: np.ndarray) -> bool:
-        """Whether any anchor falls in worker ``wid``'s subscription zone."""
+    def _subscribers(self, anchors: np.ndarray) -> "set[int]":
+        """Workers whose subscription zone holds any of ``anchors``."""
         if len(anchors) == 0:
-            return True  # undeterminable region — deliver, never guess
-        grid, r = self.grid, self._sub_radius
-        return any(
-            grid.halo_mask(anchors, t, r).any() for t in self._owned_tiles[wid]
-        )
+            return set(range(self.workers))  # undeterminable region — deliver, never guess
+        lo_x, lo_y, hi_x, hi_y = self._territory
+        x, y = anchors[:, 0:1], anchors[:, 1:2]
+        hit = ((x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y)).any(axis=0)
+        return set((np.flatnonzero(hit) % self.workers).tolist())
 
     def _route_diff(self, src_wid: int, anchors, tdiff, rdiff) -> int:
         """Stage one group diff for every other worker; returns deferrals."""
-        entry = (self._seq, anchors, tdiff, rdiff)
+        entry = (self._seq, anchors, tdiff, rdiff, _cell_keys(anchors, self._cell))
         self._seq += 1
+        subscribed = self._subscribers(anchors) if self.halo_filter else range(self.workers)
         deferred = 0
         for other in range(self.workers):
             if other == src_wid:
                 continue
-            if not self.halo_filter or self._in_territory(other, anchors):
+            if other in subscribed:
                 self._pending[other].append(entry)
             else:
-                self._backlog[other].append(entry)
+                self._backlog[other].add(entry)
                 self._diffs_deferred[other] += 1
                 deferred += 1
         self.diffs_suppressed_total += deferred
@@ -614,46 +695,54 @@ class TileWorkerPool:
     def _drain(self, wid: int, need_anchors: "np.ndarray | None") -> list:
         """The ordered foreign-diff list to ship to ``wid`` right now.
 
-        Always includes the eager pending entries; pulls backlog entries
-        whose regions the batch's assigned groups may read
-        (``need_anchors`` within the 2(4+Δ)D independence radius), then
-        closes backward over earlier overlapping backlog entries so the
-        replay order of overlapping diffs always matches splice order.
-        A backlog past ``max_backlog`` is flushed whole.
+        Always includes the eager pending entries.  From the backlog it
+        pulls the *seeds* — entries whose anchors come within the
+        2(4+Δ)D independence radius of ``need_anchors`` (the batch's
+        assigned groups may read their regions) — and closes over
+        overlapping entries: a seed or a pending entry pulls in any
+        backlog entry near it, an entry pulled in by the closure only
+        *earlier* ones (a delivered diff needs every earlier withheld
+        diff on shared nodes, or the later replay of the earlier diff
+        would clobber newer state).  Candidates come from the backlog's
+        cell index, so the work is O(entries near the batch), not
+        O(backlog); :func:`repro._reference.halo_catchup_reference` is
+        the linear scan it reproduces.  A backlog past ``max_backlog``
+        is flushed whole.
         """
         pending, self._pending[wid] = self._pending[wid], []
         backlog = self._backlog[wid]
-        if not backlog:
-            selected = []
-        elif len(backlog) > self.max_backlog:
-            selected, backlog = backlog, []
+        if len(backlog) > self.max_backlog:
+            selected = backlog.take_all()
+        elif backlog:
+            selected = self._catch_up(backlog, pending, need_anchors)
         else:
-            n = len(backlog)
-            need = [False] * n
-            if need_anchors is not None and len(need_anchors):
-                for i, (_, anch, _, _) in enumerate(backlog):
-                    need[i] = self._near(anch, need_anchors, self._need_radius)
-            # Backward transitive closure: delivering a diff requires
-            # every *earlier* withheld diff whose region overlaps it
-            # (later replay of the earlier diff would clobber newer
-            # state on the shared nodes).
-            sel_anchors = [e[1] for e in pending] + [
-                backlog[i][1] for i in range(n) if need[i]
-            ]
-            for i in range(n - 1, -1, -1):
-                if need[i]:
-                    continue
-                anch = backlog[i][1]
-                if any(self._near(anch, s, self._need_radius) for s in sel_anchors):
-                    need[i] = True
-                    sel_anchors.append(anch)
-            selected = [backlog[i] for i in range(n) if need[i]]
-            backlog = [backlog[i] for i in range(n) if not need[i]]
-        self._backlog[wid] = backlog
+            selected = []
         out = sorted(selected + pending, key=lambda e: e[0])
         self._diffs_in[wid] += len(out)
         self.diffs_replayed_total += len(out)
-        return [(td, rd) for _, _, td, rd in out]
+        return [(e[2], e[3]) for e in out]
+
+    def _catch_up(self, backlog: _Backlog, pending: list, need_anchors) -> list:
+        """Pop and return the backlog entries :meth:`_drain` must deliver."""
+        r = self._need_radius
+        near = self._near
+        selected = []
+        if need_anchors is not None and len(need_anchors):
+            for seq in backlog.around(_cell_keys(need_anchors, self._cell)):
+                if near(backlog.entries[seq][1], need_anchors, r):
+                    selected.append(backlog.pop(seq))
+        # Worklist of (entry, is_seed); only seeds pull later entries.
+        work = [(e, True) for e in pending] + [(e, True) for e in selected]
+        while work and backlog:
+            entry, seed = work.pop()
+            for seq in backlog.around(entry[4]):
+                if not seed and seq > entry[0]:
+                    continue
+                if near(backlog.entries[seq][1], entry[1], r):
+                    cand = backlog.pop(seq)
+                    selected.append(cand)
+                    work.append((cand, False))
+        return selected
 
     # ------------------------------------------------------------------
     # Pool-side MAC steps
@@ -686,9 +775,9 @@ class TileWorkerPool:
             # current.  (Backlogged diffs are outside the read region by
             # construction; the closure inside _drain still rides along
             # when a pending diff overlaps one.)
+            foreign = [self._drain(wid, None) for wid in range(self.workers)]
             for wid in range(self.workers):
-                foreign = self._drain(wid, None)
-                self._send(wid, ("mac", foreign, int(seed), int(step)))
+                self._send(wid, ("mac", foreign[wid], int(seed), int(step)))
             replies = self._recv_all()
             parts = [r for r in replies if len(r[0])]
             if parts:
@@ -724,7 +813,12 @@ class TileWorkerPool:
         except (BrokenPipeError, OSError):
             self._fail(wid)
 
-    def _recv_all(self) -> "list[list]":
+    def _recv_all(self, on_reply=None) -> "list[list]":
+        """Every worker's reply payload, in worker order.
+
+        ``on_reply(payload)`` runs on each reply as it arrives, while
+        the other workers may still be busy.
+        """
         replies: "dict[int, list]" = {}
         pending = set(range(self.workers))
         while pending:
@@ -751,6 +845,8 @@ class TileWorkerPool:
                     self._fail(wid, worker_traceback=msg[1])
                 replies[wid] = msg[1]
                 pending.discard(wid)
+                if on_reply is not None:
+                    on_reply(msg[1])
         return [replies[w] for w in range(self.workers)]
 
     def _adopt_telemetry(self, wid: int, tele: "dict | None") -> None:

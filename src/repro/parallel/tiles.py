@@ -137,20 +137,28 @@ class TileGrid:
             self.y0 + (ty + 1) * self.tile_h,
         )
 
-    def halo_mask(self, pts: np.ndarray, t: int, halo: float) -> np.ndarray:
-        """Points within tile ``t``'s rectangle expanded by ``halo``.
+    def halo_rect(self, t: int, halo: float) -> "tuple[float, float, float, float]":
+        """Tile ``t``'s rectangle expanded by ``halo``: ``(lo_x, lo_y, hi_x, hi_y)``.
 
         Border tiles extend to infinity on their outer sides (they own
-        the clamped overhang), so the mask is a superset of the owned
-        points for any ``halo ≥ 0``.
+        the clamped overhang).
         """
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
         x0, y0, x1, y1 = self.rect(t)
         tx, ty = divmod(int(t), self.ny)
-        lo_x = -np.inf if tx == 0 else x0 - halo
-        hi_x = np.inf if tx == self.nx - 1 else x1 + halo
-        lo_y = -np.inf if ty == 0 else y0 - halo
-        hi_y = np.inf if ty == self.ny - 1 else y1 + halo
+        return (
+            -np.inf if tx == 0 else x0 - halo,
+            -np.inf if ty == 0 else y0 - halo,
+            np.inf if tx == self.nx - 1 else x1 + halo,
+            np.inf if ty == self.ny - 1 else y1 + halo,
+        )
+
+    def halo_mask(self, pts: np.ndarray, t: int, halo: float) -> np.ndarray:
+        """Points within :meth:`halo_rect` of tile ``t``.
+
+        The mask is a superset of the owned points for any ``halo ≥ 0``.
+        """
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+        lo_x, lo_y, hi_x, hi_y = self.halo_rect(t, halo)
         return (
             (pts[:, 0] >= lo_x)
             & (pts[:, 0] <= hi_x)

@@ -193,6 +193,29 @@ class TestFaultInjection:
         assert stats.injected == 30
         assert stats.accepted == stats.delivered + result.leftover + stats.churn_drops
 
+    def test_node_removed_twice_in_one_step_is_charged_once(self):
+        # Fail, recover, fail in one step lists the node twice among the
+        # step's removed nodes; its buffer must be charged once.
+        from repro.dynamic.events import EventTrace, FailStop, Recover
+
+        pts = uniform_points(20, rng=6)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        inc = IncrementalTheta(pts, THETA, d0)
+        trace = EventTrace([(5, FailStop(7)), (5, Recover(7)), (5, FailStop(7))], horizon=20)
+        dyn = DynamicTopology(inc, trace)
+        router = BalancingRouter(20, [0], BalancingConfig(0.0, 0.0, 64))
+        engine = SimulationEngine(
+            router, injections_fn=lambda t: [(7, 0, 20)] if t < 5 else [], dynamic=dyn
+        )
+        for _ in range(5):
+            engine.step()
+        buffered = int(router.heights[7].sum())
+        assert buffered > 0
+        engine.step()
+        stats = router.stats
+        assert stats.churn_drops == buffered
+        assert stats.accepted == stats.delivered + router.total_packets() + stats.churn_drops
+
 
 class TestMACUnderChurn:
     def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False, jobs=1):
