@@ -19,14 +19,19 @@ from repro.geometry.sectors import SectorPartition
 from repro.graphs.base import GeometricGraph
 from repro.interference.model import interference_radius
 from repro.sim.packets import Transmission
+from repro.utils.arrays import run_starts
 
 __all__ = [
     "all_pairs_within_reference",
+    "admissions_reference",
     "balancing_decide_reference",
+    "conflict_row_reference",
+    "edge_rad2_reference",
     "halo_catchup_reference",
     "interference_sets_reference",
     "max_edge_stretch_reference",
     "theta_edges_reference",
+    "yao_choices_reference",
     "yao_out_edges_reference",
 ]
 
@@ -272,3 +277,92 @@ def halo_catchup_reference(
     selected = [backlog[i] for i in range(n) if need[i]]
     kept = [backlog[i] for i in range(n) if not need[i]]
     return sorted(selected + list(pending), key=lambda e: e[0]), kept
+
+
+def yao_choices_reference(inc, u: int) -> "dict[int, int]":
+    """Per-node phase 1 of ``IncrementalTheta`` (the pre-batching repair).
+
+    ``{sector → target}`` for node ``u`` of the maintainer ``inc``: the
+    nearest in-range neighbor per cone, one grid query for ``u`` alone,
+    ties broken by (distance, target id).  ``{}`` for a dead node.
+    """
+    index = inc._index
+    if not index.is_alive(u):
+        return {}
+    pu = index.position(u)
+    nbrs = index.query_radius(pu, inc.max_range, exclude=u)
+    if len(nbrs) == 0:
+        return {}
+    d = index.positions_of(nbrs) - pu
+    dist = np.hypot(d[:, 0], d[:, 1])
+    ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
+    sec = np.atleast_1d(inc._part.index_of_angle(ang))
+    order = np.lexsort((nbrs, dist, sec))
+    sel = order[run_starts(sec[order])]
+    return dict(zip(sec[sel].tolist(), nbrs[sel].tolist()))
+
+
+def admissions_reference(inc, x: int) -> "dict[int, int]":
+    """Per-receiver phase 2 of ``IncrementalTheta`` (pre-batching).
+
+    ``{sector → admitted source}`` for receiver ``x`` from its current
+    in-set ``inc._in[x]``: in-neighbors grouped by the cone of ``x``
+    containing them, the (distance, source id) minimum admitted per
+    cone.  Pure: the maintainer is not modified.
+    """
+    sources = inc._in.get(x)
+    if not sources:
+        return {}
+    index = inc._index
+    src = np.fromiter(sources, dtype=np.intp, count=len(sources))
+    px = index.position(x)
+    d = index.positions_of(src) - px
+    ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
+    sec_in = np.atleast_1d(inc._part.index_of_angle(ang))
+    dist = np.hypot(d[:, 0], d[:, 1])
+    order = np.lexsort((src, dist, sec_in))
+    sel = order[run_starts(sec_in[order])]
+    return dict(zip(sec_in[sel].tolist(), src[sel].tolist()))
+
+
+def edge_rad2_reference(dyn, code: int) -> float:
+    """Squared shrunk guard radius of one packed edge of ``DynamicInterference``."""
+    pab = dyn._index.positions_of(np.array([code >> 32, code & 0xFFFFFFFF], dtype=np.intp))
+    length = np.hypot(pab[0, 0] - pab[1, 0], pab[0, 1] - pab[1, 1])
+    r = float(interference_radius(length, dyn.delta) * (1.0 - 1e-12))
+    return r * r
+
+
+def conflict_row_reference(dyn, code: int) -> "set[int]":
+    """Per-row conflict recompute of ``DynamicInterference`` (pre-batching).
+
+    I(code) from current geometry and the maintained ``_incident`` /
+    ``_rad2`` maps: one grid query per endpoint at the shared maximum
+    guard reach, then per candidate node ``u`` at squared distance
+    ``d2`` from an endpoint, every edge ``k`` at ``u`` with
+    ``d2 ≤ r²(code)`` or ``d2 ≤ r²(k)``; ``code`` itself excluded.
+    """
+    index = dyn._index
+    pab = index.positions_of(np.array([code >> 32, code & 0xFFFFFFFF], dtype=np.intp))
+    r2_own = dyn._rad2[code]
+    incident = dyn._incident
+    rad2 = dyn._rad2
+    row: "set[int]" = set()
+    for p in pab:
+        cand = index.query_radius(p, dyn._r_in)
+        if len(cand) == 0:
+            continue
+        d = index.positions_of(cand) - p
+        d2s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        for u, d2 in zip(cand.tolist(), d2s.tolist()):
+            edges_u = incident.get(u)
+            if not edges_u:
+                continue
+            if d2 <= r2_own:
+                row.update(edges_u)
+            else:
+                for k in edges_u:
+                    if k not in row and d2 <= rad2[k]:
+                        row.add(k)
+    row.discard(code)
+    return row

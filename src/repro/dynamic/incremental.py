@@ -13,8 +13,13 @@ event at position *p* can only change
 
 :class:`IncrementalTheta` maintains the exact ΘALG output under
 :mod:`repro.dynamic.events` streams by re-running both phases on that
-bounded region only.  It replicates the vectorized kernels'
-arithmetic bit-for-bit — same subtraction orientation, same
+bounded region only.  A repair is O(1) array passes over its dirty
+region, whatever its size: one batched grid query finds the dirty set,
+one query plus one owner-keyed lexsort decides phase 1 for every dirty
+node, and one lexsort over the flattened in-sets decides phase 2 for
+every receiver (the per-node versions these replaced are kept as
+oracles in :mod:`repro._reference`).  It replicates the vectorized
+kernels' arithmetic bit-for-bit — same subtraction orientation, same
 ``np.hypot``/``np.arctan2`` expressions, same in-range epsilon
 (``d² ≤ D² + 1e-12``), same (distance, node-id) tie-breaking — so the
 maintained topology is **edge-for-edge identical** to
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from repro.geometry.primitives import TWO_PI, as_points
 from repro.geometry.sectors import SectorPartition
 from repro.geometry.spatialindex import DynamicGridIndex
 from repro.obs import trace
-from repro.utils.arrays import run_starts
+from repro.utils.arrays import run_starts, sorted_unique
 
 __all__ = ["RepairStats", "IncrementalTheta", "DynamicTopology", "StepChurn"]
 
@@ -188,9 +194,16 @@ class IncrementalTheta:
 
     def edge_array(self) -> np.ndarray:
         """``(m, 2)`` sorted intp array of the undirected edges."""
-        if not self._edge_dirs:
-            return np.empty((0, 2), dtype=np.intp)
-        edges = np.array(sorted(self._edge_dirs), dtype=np.intp)
+        # Sort packed (lo << 32) | hi codes: the lexicographic pair order.
+        codes = np.fromiter(
+            ((lo << 32) | hi for lo, hi in self._edge_dirs),
+            dtype=np.int64,
+            count=len(self._edge_dirs),
+        )
+        codes.sort()
+        edges = np.empty((len(codes), 2), dtype=np.intp)
+        edges[:, 0] = codes >> 32
+        edges[:, 1] = codes & 0xFFFFFFFF
         return edges
 
     def all_positions(self) -> np.ndarray:
@@ -387,12 +400,13 @@ class IncrementalTheta:
 
             # Phase-1 dirty set A: live nodes whose candidate neighborhood
             # intersects a disk of radius D around an anchor.
-            dirty: "set[int]" = set()
-            for p in anchors:
-                dirty.update(self._index.query_radius(p, D).tolist())
+            hits = self._index.query_radius_many(np.asarray(anchors), D)[1]
             alive_nodes = [nd for nd in event_nodes if self._index.is_alive(nd)]
             dead_nodes = [nd for nd in event_nodes if not self._index.is_alive(nd)]
-            dirty.update(alive_nodes)
+            dirty_sorted = sorted_unique(
+                np.concatenate([hits, np.asarray(alive_nodes, dtype=np.intp)])
+            ).tolist()
+            dirty = set(dirty_sorted)
 
             receivers: "set[int]" = set()
             flipped = 0
@@ -414,8 +428,9 @@ class IncrementalTheta:
                         self._in[v].discard(nd)
                         receivers.add(v)
 
-            for u in sorted(dirty):
-                new_choices = self._yao_choices(u)
+            choices = self._yao_choices_many(dirty_sorted)
+            for u in dirty_sorted:
+                new_choices = choices.get(u, {})
                 old_choices = self._out.get(u, {})
                 if new_choices != old_choices:
                     # Diff by *target set*, not per sector: a target that
@@ -452,14 +467,19 @@ class IncrementalTheta:
                 self._in.pop(nd, None)
                 receivers.discard(nd)
 
-            for x in sorted(receivers):
-                if self._index.is_alive(x):
-                    before = self._admit.get(x) if collect_diff else None
-                    flipped += self._readmit(x, log)
+            # Phase 2 for every live receiver in one pass; transitions
+            # then apply in sorted receiver order, so the changelog and
+            # the diff replay order do not depend on the batching.
+            rec = np.fromiter(receivers, dtype=np.intp, count=len(receivers))
+            rec.sort()
+            live_rec = rec[self._index.alive_mask(rec)].tolist()
+            admissions = self._admissions_many(live_rec)
+            for x in live_rec:
+                new_admit = admissions.get(x, {})
+                if new_admit != self._admit.get(x, {}):
+                    flipped += self._install_admit(x, new_admit, log)
                     if collect_diff:
-                        after = self._admit.get(x)
-                        if after != before:
-                            admit_diff[x] = after
+                        admit_diff[x] = new_admit or None
 
             touched = dirty | receivers | set(dead_nodes)
             radius = self._touched_radius(touched, anchors)
@@ -502,20 +522,7 @@ class IncrementalTheta:
             else:
                 self._out.pop(u, None)
         for x, new_admit in diff["admit"].items():
-            old_admit = self._admit.get(x) or {}
-            new = new_admit or {}
-            for sec in set(old_admit) | set(new):
-                ow, nw = old_admit.get(sec), new.get(sec)
-                if ow == nw:
-                    continue
-                if ow is not None:
-                    self._drop_dir(ow, x)
-                if nw is not None:
-                    self._add_dir(nw, x)
-            if new:
-                self._admit[x] = dict(new)
-            else:
-                self._admit.pop(x, None)
+            self._install_admit(x, dict(new_admit) if new_admit else {})
         for nd in diff["dead"]:
             self._in.pop(int(nd), None)
 
@@ -539,56 +546,77 @@ class IncrementalTheta:
             radius = max(radius, float(nearest.max()))
         return radius
 
-    def _yao_choices(self, u: int) -> "dict[int, int]":
-        """Phase 1 for one node: nearest in-range neighbor per cone.
+    def _yao_choices_many(self, nodes: "list[int]") -> "dict[int, dict[int, int]]":
+        """Phase 1 for a whole dirty set: nearest in-range neighbor per cone.
 
-        Bit-for-bit the arithmetic of :func:`repro.graphs.yao.yao_out_edges`
-        restricted to source ``u``: ``d = pts[v] - pts[u]``,
-        ``dist = np.hypot``, sector from ``arctan2`` mod 2π, candidates
-        within ``D`` under the shared ``+1e-12`` epsilon, ties broken by
-        (distance, target id) via the same lexsort.
+        Returns ``{u: {sector: target}}`` for the live ``nodes`` with at
+        least one choice.  Bit-for-bit the arithmetic of
+        :func:`repro.graphs.yao.yao_out_edges` per source: one batched
+        query at ``D`` with the source excluded, ``d = pts[v] - pts[u]``,
+        ``dist = np.hypot``, sector from ``arctan2`` mod 2π, ties broken
+        by (distance, target id) under one lexsort keyed by owner first.
         """
-        if not self._index.is_alive(u):
+        idx = self._index
+        arr = np.asarray(nodes, dtype=np.intp)
+        live = arr[idx.alive_mask(arr)]
+        pos = idx.positions_of(live)
+        indptr, nbrs = idx.query_radius_many(pos, self.max_range, exclude=live)
+        owner = np.repeat(np.arange(len(live)), np.diff(indptr))
+        return self._nearest_per_cone(live, owner, nbrs, pos)
+
+    def _admissions_many(self, receivers: "list[int]") -> "dict[int, dict[int, int]]":
+        """Phase 2 for a set of live receivers: re-prune incoming Yao edges.
+
+        Mirrors the phase-2 lexsort of :func:`theta_algorithm`: each
+        receiver ``x`` groups its in-neighbors by the cone of ``x``
+        containing them (``d = pts[w] - pts[x]``) and admits the
+        (distance, source id) minimum per cone.  Returns ``{x: {sector:
+        source}}`` for the receivers with at least one admission; no
+        state is modified.
+        """
+        rec = np.asarray(receivers, dtype=np.intp)
+        in_sets = list(map(self._in.get, receivers, repeat(frozenset())))
+        counts = np.fromiter(map(len, in_sets), dtype=np.intp, count=len(in_sets))
+        src = np.fromiter(chain.from_iterable(in_sets), dtype=np.intp, count=int(counts.sum()))
+        owner = np.repeat(np.arange(len(rec)), counts)
+        return self._nearest_per_cone(rec, owner, src, self._index.positions_of(rec))
+
+    def _nearest_per_cone(
+        self, heads: np.ndarray, owner: np.ndarray, others: np.ndarray, head_pos: np.ndarray
+    ) -> "dict[int, dict[int, int]]":
+        """Per head, the (distance, id)-nearest of its ``others`` per cone.
+
+        ``others[i]`` belongs to ``heads[owner[i]]`` (at ``head_pos``);
+        ``owner`` is the primary sort key, so every head's cones are
+        decided independently in the one lexsort.
+        """
+        if len(others) == 0:
             return {}
-        pu = self._index.position(u)
-        nbrs = self._index.query_radius(pu, self.max_range, exclude=u)
-        if len(nbrs) == 0:
-            return {}
-        d = self._index.positions_of(nbrs) - pu
+        d = self._index.positions_of(others) - head_pos[owner]
         dist = np.hypot(d[:, 0], d[:, 1])
         ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
         sec = np.atleast_1d(self._part.index_of_angle(ang))
-        order = np.lexsort((nbrs, dist, sec))
-        sel = order[run_starts(sec[order])]
-        return dict(zip(sec[sel].tolist(), nbrs[sel].tolist()))
+        order = np.lexsort((others, dist, sec, owner))
+        sel = order[run_starts(owner[order], sec[order])]
+        out: "dict[int, dict[int, int]]" = {}
+        for h, s, v in zip(heads[owner[sel]].tolist(), sec[sel].tolist(), others[sel].tolist()):
+            row = out.get(h)
+            if row is None:
+                out[h] = row = {}
+            row[s] = v
+        return out
 
-    def _readmit(self, x: int, log: "dict[tuple[int, int], int] | None" = None) -> int:
-        """Phase 2 for one receiver: re-prune its incoming Yao edges.
+    def _install_admit(
+        self, x: int, new: "dict[int, int]", log: "dict[tuple[int, int], int] | None" = None
+    ) -> int:
+        """Replace receiver ``x``'s admissions with ``new``.
 
-        Mirrors the phase-2 lexsort of :func:`theta_algorithm`: group
-        in-neighbors by the cone of ``x`` containing them
-        (``d = pts[w] - pts[x]``), admit the (distance, source id)
-        minimum per cone.  Returns the number of undirected edges
-        flipped (added + removed); net creations/deletions are counted
-        into ``log`` when given (+1 created, -1 deleted, transients
-        cancel).
+        Retracts and records admitted directions per changed cone.
+        Returns the number of undirected edges flipped (added + removed);
+        net creations/deletions are counted into ``log`` when given (+1
+        created, -1 deleted, transients cancel).
         """
-        sources = self._in.get(x)
         old = self._admit.get(x, {})
-        if not sources:
-            new: "dict[int, int]" = {}
-        else:
-            src = np.fromiter(sources, dtype=np.intp, count=len(sources))
-            px = self._index.position(x)
-            d = self._index.positions_of(src) - px
-            ang = np.mod(np.arctan2(d[:, 1], d[:, 0]), TWO_PI)
-            sec_in = np.atleast_1d(self._part.index_of_angle(ang))
-            dist = np.hypot(d[:, 0], d[:, 1])
-            order = np.lexsort((src, dist, sec_in))
-            sel = order[run_starts(sec_in[order])]
-            new = dict(zip(sec_in[sel].tolist(), src[sel].tolist()))
-        if new == old:
-            return 0
         flipped = 0
         for sec in set(old) | set(new):
             ow, nw = old.get(sec), new.get(sec)

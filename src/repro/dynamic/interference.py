@@ -13,13 +13,16 @@ the topology repair:
   exactly the *changed* edges — net added edges, net removed edges, and
   edges incident to a moved node — and splicing the diffs into their
   neighbors' rows repairs every affected row;
-* each row recompute is a pair of grid queries
-  (:class:`~repro.geometry.spatialindex.DynamicGridIndex`) at the
-  maximum possible guard reach, filtered by the *bit-identical*
-  predicate of the vectorized kernel
-  (:func:`repro.interference.conflict.interference_sets`): squared hit
-  distance ``≤`` squared shrunk guard radius
-  ``((1+Δ)·len·(1−1e-12))²``, inclusive at ties.
+* all rows of one repair are recomputed in O(1) array passes: one
+  batched grid query
+  (:meth:`~repro.geometry.spatialindex.DynamicGridIndex.query_radius_many`)
+  around both endpoints of every row at the maximum possible guard
+  reach, one expansion of the candidate nodes to their incident edges,
+  and one filter by the *bit-identical* predicate of the vectorized
+  kernel (:func:`repro.interference.conflict.interference_sets`):
+  squared hit distance ``≤`` squared shrunk guard radius
+  ``((1+Δ)·len·(1−1e-12))²``, inclusive at ties.  The per-row version
+  it replaced is kept as an oracle in :mod:`repro._reference`.
 
 The maintained rows materialize on demand into a CSR
 :class:`~repro.interference.conflict.InterferenceSets` aligned with
@@ -38,12 +41,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
+from repro.utils.arrays import ragged_arange, sorted_unique, unique_inverse
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -262,15 +267,14 @@ class DynamicInterference:
             recompute: "set[int]" = set(added_codes)
             for nd in moved_nodes:
                 recompute.update(self._incident.get(int(nd), _EMPTY))
-            rad2_diff: "dict[int, float]" = {}
-            for c in recompute:
-                rad2_diff[c] = self._rad2[c] = self._edge_rad2(c)
+            codes = sorted(recompute)
+            rad2_list, new_rows = self._recompute_rows(codes)
+            rad2_diff: "dict[int, float]" = dict(zip(codes, rad2_list)) if collect_diff else {}
             row_diff: "dict[int, list[int]]" = {}
-            for c in sorted(recompute):
-                new_row = self._recompute_row(c)
+            for c, new_row in zip(codes, new_rows):
                 if collect_diff:
-                    row_diff[c] = sorted(new_row)
-                entries += self._splice_row(c, new_row)
+                    row_diff[c] = new_row
+                entries += self._splice_row(c, set(new_row))
 
             self._csr = None
             if _sync:
@@ -379,50 +383,67 @@ class DynamicInterference:
         """Batch applier hook: declare the structure current again."""
         self._synced_version = self.inc.topology_version
 
-    def _edge_rad2(self, code: int) -> float:
-        """Squared shrunk guard radius of one edge, kernel arithmetic."""
-        pab = self._index.positions_of(np.array([code >> 32, code & _MASK], dtype=np.intp))
-        length = np.hypot(pab[0, 0] - pab[1, 0], pab[0, 1] - pab[1, 1])
-        r = float(interference_radius(length, self.delta) * (1.0 - 1e-12))
-        return r * r
+    def _recompute_rows(self, codes: "list[int]") -> "tuple[list[float], list[list[int]]]":
+        """Guard radii and rows I(c) of ``codes`` from current geometry.
 
-    def _recompute_row(self, code: int) -> "set[int]":
-        """I(code) from current geometry, bit-identical to the kernel.
-
-        Two grid queries (one per endpoint) at the shared maximum guard
-        reach produce a candidate superset; the exact kernel predicate —
-        squared hit distance ``≤`` squared shrunk radius, inclusive at
-        ties — then decides both conflict directions:
+        First installs every code's squared shrunk guard radius
+        ``((1+Δ)·len·(1−1e-12))²`` (kernel arithmetic) into ``_rad2``,
+        so rows can read each other's radii.  Then, in one pass over all
+        rows: a batched grid query at the shared maximum guard reach
+        around both endpoints of every row gives a candidate superset;
+        each candidate node expands to its incident edges ``k``; and the
+        exact kernel predicate — squared hit distance ``≤`` squared
+        shrunk radius, inclusive at ties — decides both conflict
+        directions:
 
         * ``d²(u, p) ≤ r²(code)``: every edge at node ``u`` has an
           endpoint inside *code*'s guard zone (out-direction);
         * ``d²(u, p) ≤ r²(k)`` for ``k`` incident to ``u``: *code*'s
           endpoint ``p`` lies inside ``k``'s guard zone (in-direction).
+
+        Returns the radii and the sorted rows, aligned with ``codes``.
         """
+        nrows = len(codes)
+        if nrows == 0:
+            return [], []
         idx = self._index
-        pab = idx.positions_of(np.array([code >> 32, code & _MASK], dtype=np.intp))
-        r2_own = self._rad2[code]
-        incident = self._incident
+        arr = np.array(codes, dtype=np.int64)
+        # Rows share endpoints (every row at a mover does): query each
+        # endpoint node once.
+        ends, end_of = unique_inverse(np.concatenate([arr >> 32, arr & _MASK]))
+        pos = idx.positions_of(ends)
+        pa, pb = pos[end_of[:nrows]], pos[end_of[nrows:]]
+        length = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
+        r = interference_radius(length, self.delta) * (1.0 - 1e-12)
+        own_r2 = r * r
+        rad2_list = own_r2.tolist()
         rad2 = self._rad2
-        row: "set[int]" = set()
-        for p in pab:
-            cand = idx.query_radius(p, self._r_in)
-            if len(cand) == 0:
-                continue
-            d = idx.positions_of(cand) - p
-            d2s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-            for u, d2 in zip(cand.tolist(), d2s.tolist()):
-                edges_u = incident.get(u)
-                if not edges_u:
-                    continue
-                if d2 <= r2_own:
-                    row.update(edges_u)
-                else:
-                    for k in edges_u:
-                        if k not in row and d2 <= rad2[k]:
-                            row.add(k)
-        row.discard(code)
-        return row
+        rad2.update(zip(codes, rad2_list))
+
+        indptr, cand = idx.query_radius_many(pos, self._r_in)
+        d = idx.positions_of(cand) - pos[np.repeat(np.arange(len(ends)), np.diff(indptr))]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        # (row, hit) pairs: the hits of both endpoints of every row.
+        per_end = np.diff(indptr)[end_of]
+        hit = ragged_arange(indptr[:-1][end_of], per_end)
+        prow = np.repeat(np.arange(2 * nrows) % nrows, per_end)
+        # Expand each hit node to its incident edges, numbered by sorted code.
+        nodes, node_of = unique_inverse(cand)
+        inc_sets = list(map(self._incident.get, nodes.tolist(), repeat(_EMPTY)))
+        counts = np.fromiter(map(len, inc_sets), dtype=np.intp, count=len(inc_sets))
+        flat = np.fromiter(chain.from_iterable(inc_sets), dtype=np.int64, count=int(counts.sum()))
+        kcodes, k_of = unique_inverse(flat)
+        k_r2 = np.fromiter(map(rad2.__getitem__, kcodes.tolist()), dtype=np.float64, count=len(kcodes))
+        reps = counts[node_of[hit]]
+        k = k_of[ragged_arange((np.cumsum(counts) - counts)[node_of[hit]], reps)]
+        prow = np.repeat(prow, reps)
+        pd2 = np.repeat(d2[hit], reps)
+        keep = ((pd2 <= own_r2[prow]) | (pd2 <= k_r2[k])) & (kcodes[k] != arr[prow])
+        # One sort of (row, edge) keys dedupes and orders every row.
+        key = sorted_unique(prow[keep] * len(kcodes) + k[keep])
+        bounds = np.searchsorted(key, np.arange(nrows + 1) * len(kcodes)).tolist()
+        hits = kcodes[key % len(kcodes)].tolist()
+        return rad2_list, [hits[bounds[i] : bounds[i + 1]] for i in range(nrows)]
 
     # ------------------------------------------------------------------
     # Materialization and backstop
@@ -442,10 +463,14 @@ class DynamicInterference:
         bounds; reading row sizes straight off the maintained sets skips
         the O(nnz) CSR materialization (nnz is ~10⁷ at n=10⁴).
         """
+        return self.degrees_of(self.edge_codes())
+
+    def degrees_of(self, codes: np.ndarray) -> np.ndarray:
+        """``|I(e)|`` for the given packed edge codes (tracked edges only)."""
         self._check_synced()
         rows = self._rows
         return np.fromiter(
-            (len(rows[c]) for c in sorted(rows)), dtype=np.int64, count=len(rows)
+            (len(rows[c]) for c in codes.tolist()), dtype=np.int64, count=len(codes)
         )
 
     def interference_sets(self) -> InterferenceSets:
@@ -531,8 +556,10 @@ class DynamicMAC:
             return
         edges = self.inc.edge_array()
         if self.bound_mode == "own":
-            # Degrees straight off the maintained rows — no CSR build.
-            bounds = np.maximum(self.interference.degree_array().astype(np.float64), 1.0)
+            # Degrees straight off the maintained rows, in the edge
+            # array's order — no second sort, no CSR build.
+            codes = (edges[:, 0].astype(np.int64) << 32) | edges[:, 1]
+            bounds = np.maximum(self.interference.degrees_of(codes).astype(np.float64), 1.0)
         else:
             sets = self.interference.interference_sets()
             bounds = self._estimate(None, self.delta, mode=self.bound_mode, sets=sets)

@@ -13,13 +13,16 @@ bulk entry points — :meth:`GridIndex.all_pairs_within` and
 neighborhoods with broadcasted distance blocks instead of looping one
 Python iteration per point, which is what lets transmission-graph
 construction scale to tens of thousands of nodes (see
-``docs/performance.md``).
+``docs/performance.md``).  :meth:`DynamicGridIndex.query_radius_many`
+does the same for the mutable index, so one local churn repair queries
+its whole dirty region in one call.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import product
 
 import numpy as np
 
@@ -548,6 +551,13 @@ class DynamicGridIndex:
             raise ValueError(f"node {node} is not a dead slot")
         self._pos[node] = np.asarray(p, dtype=np.float64).reshape(2)
 
+    def alive_mask(self, ids: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`is_alive` over an id array."""
+        ids = np.asarray(ids, dtype=np.intp)
+        ok = (ids >= 0) & (ids < self._size)
+        ok[ok] = self._alive[ids[ok]]
+        return ok
+
     def query_radius(
         self, center: np.ndarray, radius: float, *, exclude: "int | None" = None
     ) -> np.ndarray:
@@ -576,3 +586,52 @@ class DynamicGridIndex:
         if exclude is not None:
             out = out[out != exclude]
         return np.sort(out)
+
+    def query_radius_many(
+        self,
+        centers: np.ndarray,
+        radius: float,
+        *,
+        exclude: "np.ndarray | None" = None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Batched :meth:`query_radius` over many centers at once.
+
+        Same contract as :meth:`GridIndex.query_radius_many`: CSR
+        ``(indptr, indices)`` whose row ``k`` holds the sorted live ids
+        within ``radius`` of ``centers[k]``.  ``exclude`` optionally
+        gives one id per center to omit from its row (the query node
+        itself).  Bucket candidates are gathered per center; one
+        distance filter (``d² ≤ r² + 1e-12``, the per-query expression)
+        and one sort then cover every (center, candidate) pair.
+        """
+        check_positive("radius", radius)
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+        q = len(centers)
+        indptr = np.zeros(q + 1, dtype=np.intp)
+        reach = int(math.ceil(radius / self._cell))
+        get = self._buckets.get
+        cand: "list[int]" = []
+        counts: "list[int]" = []
+        for cx, cy in np.floor(centers / self._cell).astype(np.int64).tolist():
+            start = len(cand)
+            block = product(range(cx - reach, cx + reach + 1), range(cy - reach, cy + reach + 1))
+            for bucket in map(get, block):
+                if bucket:
+                    cand.extend(bucket)
+            counts.append(len(cand) - start)
+        if not cand:
+            return indptr, np.empty(0, dtype=np.intp)
+        hits = np.array(cand, dtype=np.intp)
+        qids = np.repeat(np.arange(q), counts)
+        d = self._pos[hits] - centers[qids]
+        mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= radius * radius + 1e-12
+        if exclude is not None:
+            mask &= hits != np.asarray(exclude, dtype=np.intp)[qids]
+        qids, hits = qids[mask], hits[mask]
+        np.cumsum(np.bincount(qids, minlength=q), out=indptr[1:])
+        # Ids are below 2**32 (edge codes pack them the same way): one
+        # int64 sort orders by (center, id), several times faster than
+        # a two-key lexsort.
+        key = (qids.astype(np.int64) << 32) | hits
+        key.sort()
+        return indptr, (key & 0xFFFFFFFF).astype(np.intp)

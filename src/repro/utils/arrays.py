@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ragged_arange", "run_starts"]
+__all__ = ["ragged_arange", "run_starts", "sorted_unique", "unique_inverse"]
 
 
 def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -51,3 +51,27 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
             change |= key[1:] != key[:-1]
         first[1:] = change
     return first
+
+
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` for a 1-D integer array, via one plain sort.
+
+    numpy 2.x answers ``np.unique`` on integers through a hash table and
+    then sorts; on the small arrays of a local repair that is several
+    times slower than sorting once and masking run starts.
+    """
+    xs = np.sort(x)
+    return xs[run_starts(xs)]
+
+
+def unique_inverse(x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``np.unique(x, return_inverse=True)`` for a 1-D integer array.
+
+    One argsort: ``uniq[inverse] == x``, ``uniq`` sorted ascending.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    first = run_starts(xs)
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return xs[first], inverse

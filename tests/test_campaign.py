@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,23 @@ def fake_harness(*, width=3, rng=None) -> "list[dict]":
     return [
         {"seed": int(rng), "width": width, "bound": math.inf, "gap": math.nan},
     ]
+
+
+def rendezvous_harness(*, width=3, rng=None) -> "list[dict]":
+    """fake_harness that holds each cell until a second process has one too.
+
+    Every call drops its pid into ``$REPRO_TEST_RENDEZVOUS`` and waits (at
+    most 10 s) for a second pid to appear there.  A worker blocked here
+    cannot take more cells, so a two-worker pool must hand the next cell
+    to the other worker; without the hold, one fast worker may drain the
+    whole queue before its sibling has started.
+    """
+    meet = Path(os.environ["REPRO_TEST_RENDEZVOUS"])
+    (meet / str(os.getpid())).touch()
+    deadline = time.monotonic() + 10.0
+    while len(list(meet.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return fake_harness(width=width, rng=rng)
 
 
 def fake_check(rows, profile):
@@ -476,10 +496,16 @@ class TestCampaignTelemetry:
         assert len(snaps) > before  # the forced final write still lands
         assert snaps[-1]["cells"]["done"] == 4
 
-    def test_traced_campaign_merges_cell_spans(self, tmp_path, fake_claim):
+    def test_traced_campaign_merges_cell_spans(self, tmp_path, fake_claim, monkeypatch):
         from repro import obs
         from repro.obs import trace
 
+        meet = tmp_path / "rendezvous"
+        meet.mkdir()
+        monkeypatch.setenv("REPRO_TEST_RENDEZVOUS", str(meet))
+        monkeypatch.setitem(
+            REGISTRY, "e1", replace(fake_claim, func="rendezvous_harness")
+        )
         tracer = obs.enable(fresh=True)
         try:
             spec = load_spec(write_spec(tmp_path, FAKE_SPEC_DOC))

@@ -58,6 +58,65 @@ class TestDynamicGridIndex:
             dyn.query_radius(pts[3], cell, exclude=3),
         )
 
+    @staticmethod
+    def _assert_many_matches_single(dyn, centers, r, exclude=None):
+        indptr, indices = dyn.query_radius_many(centers, r, exclude=exclude)
+        assert len(indptr) == len(centers) + 1
+        assert indptr[-1] == len(indices)
+        for k, c in enumerate(centers):
+            ex = None if exclude is None else int(exclude[k])
+            np.testing.assert_array_equal(
+                indices[indptr[k] : indptr[k + 1]], dyn.query_radius(c, r, exclude=ex)
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_query_radius_many_matches_per_center(self, seed):
+        # Row for row against per-center query_radius, with exclude on
+        # and off, radii above and below the cell, negative coordinates,
+        # and centers in empty cells far outside the points.
+        gen = np.random.default_rng(seed)
+        pts = gen.uniform(-2.0, 1.0, (150, 2))
+        dyn = DynamicGridIndex(pts, 0.25)
+        for i in gen.choice(150, 20, replace=False):
+            dyn.remove(int(i))
+        centers = np.vstack([pts[::5], gen.uniform(-3.0, 2.0, (15, 2)), [[40.0, -40.0]]])
+        ids = np.arange(len(centers), dtype=np.intp) * 3 % 150
+        for r in (0.1, 0.25, 0.6):
+            self._assert_many_matches_single(dyn, centers, r)
+            self._assert_many_matches_single(dyn, centers, r, exclude=ids)
+
+    def test_query_radius_many_empty_inputs(self):
+        dyn = DynamicGridIndex(uniform_points(10, rng=4), 0.2)
+        indptr, indices = dyn.query_radius_many(np.empty((0, 2)), 0.3)
+        assert indptr.tolist() == [0] and len(indices) == 0
+        indptr, indices = dyn.query_radius_many(
+            np.empty((0, 2)), 0.3, exclude=np.empty(0, dtype=np.intp)
+        )
+        assert indptr.tolist() == [0] and len(indices) == 0
+        empty = DynamicGridIndex(np.empty((0, 2)), 0.2)
+        indptr, indices = empty.query_radius_many(np.zeros((3, 2)), 0.3)
+        assert indptr.tolist() == [0, 0, 0, 0] and len(indices) == 0
+        for i in range(10):
+            dyn.remove(i)
+        indptr, indices = dyn.query_radius_many(dyn.positions_of(np.arange(10)), 0.5)
+        assert indptr.tolist() == [0] * 11 and len(indices) == 0
+
+    def test_query_radius_many_boundary_epsilon(self):
+        # 0.500000000001² is exactly 0.5² + 1e-12 in float64: a hit on
+        # the inclusive boundary.  One ulp further is out.  (Cells wider
+        # than r, so the boundary hits lie in the scanned cell block.)
+        x = 0.500000000001
+        assert x * x == 0.5 * 0.5 + 1e-12
+        out = np.nextafter(x, 1.0)
+        pts = np.array([[0.0, 0.0], [x, 0.0], [0.0, -x], [out, 0.0], [-x, 0.0]])
+        dyn = DynamicGridIndex(pts, 0.6)
+        centers = np.array([[0.0, 0.0], [-x, 0.0]])
+        indptr, indices = dyn.query_radius_many(centers, 0.5)
+        assert indices[indptr[0] : indptr[1]].tolist() == [0, 1, 2, 4]
+        assert indices[indptr[1] : indptr[2]].tolist() == [0, 4]
+        self._assert_many_matches_single(dyn, centers, 0.5)
+        self._assert_many_matches_single(dyn, centers, 0.5, exclude=np.array([0, 4]))
+
     def test_insert_remove_move_lifecycle(self):
         pts = uniform_points(10, rng=2)
         dyn = DynamicGridIndex(pts, 0.2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.utils.arrays import sorted_unique, unique_inverse
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.unionfind import UnionFind
 from repro.utils.validation import (
@@ -160,3 +161,16 @@ class TestValidation:
         assert check_probability("p", 0.5) == 0.5
         with pytest.raises(ValueError):
             check_probability("p", 1.5)
+
+
+class TestUniqueHelpers:
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=60))
+    def test_match_np_unique(self, values):
+        x = np.array(values, dtype=np.int64)
+        np.testing.assert_array_equal(sorted_unique(x), np.unique(x))
+        uniq, inverse = unique_inverse(x)
+        want_uniq, want_inverse = np.unique(x, return_inverse=True)
+        np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(inverse, want_inverse)
+        assert inverse.dtype == np.intp
+
