@@ -179,9 +179,7 @@ def test_churn_parallel_vs_serial(benchmark, n):
 
     def run_batched():
         for lo in range(0, len(events), per_step):
-            apply_events_parallel(
-                inc_p, events[lo : lo + per_step], interference=di_p, jobs=4
-            )
+            apply_events_parallel(inc_p, events[lo : lo + per_step], interference=di_p)
 
     t0 = time.perf_counter()
     benchmark.pedantic(run_batched, rounds=1, iterations=1)

@@ -308,7 +308,6 @@ def _dynamic(args: argparse.Namespace, trace_dir: "str | None") -> int:
                     inc,
                     evs[lo : lo + per_step],
                     interference=di,
-                    jobs=args.jobs if args.jobs != 1 else None,
                     backend=backend,
                     pool=pool,
                 )
@@ -760,8 +759,7 @@ def main(argv: "list[str] | None" = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="verify: run claims across N worker processes; "
-        "dynamic --parallel: repair threads per batch (default 1)",
+        help="verify: run claims across N worker processes (default 1)",
     )
     parser.add_argument(
         "--only",
@@ -819,15 +817,15 @@ def main(argv: "list[str] | None" = None) -> int:
         "--parallel",
         action="store_true",
         help="dynamic: apply each step's events as disjoint-region batches "
-        "(--jobs threads repair independent groups concurrently)",
+        "(independent groups repaired in shared array passes)",
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "thread", "process"),
+        choices=("auto", "serial", "process"),
         default="auto",
         metavar="B",
-        help="dynamic --parallel: batch execution backend — auto (default), "
-        "serial, thread, or process (tiled worker pool over shared memory)",
+        help="dynamic --parallel: batch execution backend — auto (default, "
+        "same as serial), serial, or process (tiled worker pool over shared memory)",
     )
     parser.add_argument(
         "--workers",

@@ -1,39 +1,39 @@
-"""Disjoint-region parallel event application (ROADMAP item).
+"""Disjoint-region batch event application (ROADMAP item).
 
 A churn step delivers many events whose dirty disks mostly do not
 overlap — the paper's locality argument again: each event's repair
 (topology + interference rows) reads and writes state within a bounded
 radius of its anchors.  This module partitions a step's events into
 **independent groups** by that radius using a union–find over coarse
-grid cells, then repairs the groups concurrently:
+grid cells, then repairs every group in shared array passes:
 
 * **Phase A (serial):** every event's index mutation runs in trace
-  order (join ids must appear in order; the grid index is not safe for
-  concurrent mutation).  After phase A the geometry is final.
-* **Phase B (grouped):** one merged-region
-  :meth:`~repro.dynamic.incremental.IncrementalTheta._repair_batch` per
-  group, optionally followed by the group's
-  :class:`~repro.dynamic.interference.DynamicInterference` row repair.
-  Groups farther apart than :func:`independence_radius` touch disjoint
-  state, so they can run on a thread pool (``jobs > 1``) or
-  sequentially (``jobs == 1`` — still profitable: overlapping dirty
-  disks within a group are repaired *once* instead of once per event).
+  order (join ids must appear in order).  After phase A the geometry is
+  final.
+* **Phase B (batch-wide):** one
+  :meth:`~repro.dynamic.incremental.IncrementalTheta._repair_groups`
+  call repairs every group's merged region, then one
+  :meth:`~repro.dynamic.interference.DynamicInterference.update_groups`
+  call repairs every group's conflict rows.  Overlapping dirty disks
+  within a group are repaired *once* instead of once per event, and
+  the groups share each kernel's numpy calls instead of paying them
+  one group at a time.
 
-Correctness does not depend on the partition: the repair invariant
-(post-repair state equals the exact ΘALG of the current live positions
-on the touched region) makes any group sequence equivalent to serial
-per-event application.  The conservative radius is only needed so
-*concurrent* groups never share a node, an edge, or a conflict row —
-property-tested against serial application in
-``tests/test_dynamic_batching.py``.
+Groups farther apart than :func:`independence_radius` touch disjoint
+state — no node, edge or conflict row in common — so the batch-wide
+kernels give every group exactly the stats, changelog and diff of a
+repair of that group on its own, and the final state equals serial
+per-event application (property-tested in
+``tests/test_dynamic_batching.py`` and
+``tests/test_dynamic_batch_kernels.py``).  The process backend
+(:class:`repro.parallel.pool.TileWorkerPool`) runs the same two calls
+in each worker over the groups routed to it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,6 @@ from repro.dynamic.events import Event, NodeJoin, NodeMove, event_kind
 from repro.obs import trace
 
 __all__ = [
-    "AUTO_THREAD_MIN_GROUPS",
     "BatchApplyStats",
     "apply_events_parallel",
     "group_events",
@@ -173,11 +172,6 @@ def group_events(
     return sorted(groups.values(), key=lambda idxs: idxs[0])
 
 
-#: Below this many groups a thread pool costs more than the GIL lets it
-#: recover; the auto backend (``jobs=None``) stays serial under it.
-AUTO_THREAD_MIN_GROUPS = 8
-
-
 @dataclass
 class BatchApplyStats:
     """Aggregate result of one parallel batch application."""
@@ -190,7 +184,7 @@ class BatchApplyStats:
     repairs: "list" = field(default_factory=list)
     conflict_repairs: "list" = field(default_factory=list)
     wall_time: float = 0.0
-    #: Execution path actually taken: "serial", "thread", or "process".
+    #: Execution path actually taken: "serial" or "process".
     backend: str = "serial"
     #: Effective worker count of that path (1 for serial).
     jobs: int = 1
@@ -217,7 +211,6 @@ def apply_events_parallel(
     events: "list[Event]",
     *,
     interference=None,
-    jobs: "int | None" = None,
     radius: "float | None" = None,
     backend: "str | None" = None,
     pool=None,
@@ -225,10 +218,10 @@ def apply_events_parallel(
     """Apply a step's events as independent merged-region group repairs.
 
     Phase A mutates the index serially in trace order; phase B repairs
-    each group (topology, then the group's conflict rows when
+    every group (topology, then the groups' conflict rows when
     ``interference`` — a
     :class:`~repro.dynamic.interference.DynamicInterference` — is
-    given).  The result is identical on every backend, and identical to
+    given).  The result is identical on both backends, and identical to
     serial per-event
     :meth:`~repro.dynamic.incremental.IncrementalTheta.apply`.
 
@@ -236,21 +229,24 @@ def apply_events_parallel(
     -----------------
     * ``backend="process"`` (or any ``pool``): delegate the whole batch
       to a :class:`~repro.parallel.pool.TileWorkerPool` — group repairs
-      run in worker processes, the only path with real parallelism.
-    * ``backend="thread"``: a thread pool of ``jobs`` workers (GIL-bound;
-      proves independence more than it buys speed).
-    * ``backend="serial"``: one group after another.
-    * ``backend=None`` with ``jobs=None`` (the default): auto — serial
-      below :data:`AUTO_THREAD_MIN_GROUPS` groups or on a single core
-      (thread-pool overhead exceeds any GIL-window overlap there),
-      threads otherwise.  An explicit integer ``jobs`` keeps the legacy
-      contract: ``jobs > 1`` threads, ``jobs == 1`` serial.
+      run in worker processes.
+    * ``backend=None`` or ``"serial"``: one batch-wide call of each
+      repair kernel in this process.
 
-    The chosen path is reported in ``BatchApplyStats.backend`` /
-    ``.jobs``.  The topology version advances once per batch; callers
-    comparing against serial application should compare edge sets and
-    conflict rows, not version counters.
+    ``radius`` overrides the grouping radius; it must not be smaller
+    than :func:`independence_radius`, or groups could share state.  The
+    chosen path is reported in ``BatchApplyStats.backend``.  The
+    topology version advances once per batch; callers comparing
+    against serial application should compare edge sets and conflict
+    rows, not version counters.
     """
+    delta = interference.delta if interference is not None else 0.0
+    floor = independence_radius(incremental.max_range, delta)
+    if radius is not None and radius < floor:
+        raise ValueError(
+            f"radius {radius!r} is below the independence radius {floor!r}: "
+            "groups could share state"
+        )
     if backend == "process" or pool is not None:
         if pool is None:
             raise ValueError(
@@ -260,69 +256,42 @@ def apply_events_parallel(
         if pool.inc is not incremental or pool.di is not interference:
             raise ValueError("pool was built for a different incremental/interference pair")
         return pool.apply_batch(events, radius=radius)
-    if backend not in (None, "serial", "thread"):
+    if backend not in (None, "serial"):
         raise ValueError(f"unknown backend {backend!r}")
 
     t0 = time.perf_counter()
-    delta = interference.delta if interference is not None else 0.0
-    with trace.span("dynamic.batch_apply", events=len(events), jobs=jobs or 0) as sp:
+    with trace.span("dynamic.batch_apply", events=len(events)) as sp:
         idx_groups = group_events(incremental, events, radius=radius, delta=delta)
-
-        cpus = len(os.sched_getaffinity(0))
-        if backend == "serial":
-            eff_jobs = 1
-        elif backend == "thread":
-            eff_jobs = jobs if jobs and jobs > 1 else max(2, cpus)
-        elif jobs is None:  # auto
-            if len(idx_groups) >= AUTO_THREAD_MIN_GROUPS and cpus > 1:
-                eff_jobs = min(4, cpus, len(idx_groups))
-            else:
-                eff_jobs = 1
-        else:
-            eff_jobs = int(jobs)
-        use_threads = eff_jobs > 1 and len(idx_groups) > 1
-
-        # Phase A — serial mutations in trace order (join-id ordering,
-        # grid not thread-safe).  Geometry is final afterwards.
+        # Phase A — serial mutations in trace order.  Geometry is final
+        # afterwards.
         contexts = [incremental._mutate(ev) for ev in events]
-
-        repairs: "list" = []
-        conflict_repairs: "list" = []
-
-        def run_group(idxs: "list[int]") -> "tuple[object, object]":
+        # Groups with no repair work (all dead-slot moves) drop out here.
+        groups = []
+        moved = []
+        for idxs in idx_groups:
             ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
-            if not ctxs:
-                return None, None
-            rs = incremental._repair_batch(ctxs, kind="batch", node=-1)
-            cs = None
-            if interference is not None:
-                moved = [
-                    int(events[i].node)
-                    for i in idxs
-                    if contexts[i] is not None
-                    and contexts[i][0] == "move"
-                    and incremental._index.is_alive(int(events[i].node))
-                ]
-                cs = interference.update(
-                    rs.edges_added, rs.edges_removed, moved, _sync=False
+            if ctxs:
+                groups.append(ctxs)
+                moved.append(
+                    [
+                        int(events[i].node)
+                        for i in idxs
+                        if contexts[i] is not None
+                        and contexts[i][0] == "move"
+                        and incremental._index.is_alive(int(events[i].node))
+                    ]
                 )
-            return rs, cs
-
-        if use_threads:
-            with ThreadPoolExecutor(max_workers=eff_jobs) as tpool:
-                results = list(tpool.map(run_group, idx_groups))
-        else:
-            results = [run_group(g) for g in idx_groups]
-
+        # Phase B — one call of each repair kernel for every group.
+        repairs = incremental._repair_groups(groups)
+        conflict_repairs = []
+        if interference is not None:
+            conflict_repairs = interference.update_groups(
+                [(rs.edges_added, rs.edges_removed, mv) for rs, mv in zip(repairs, moved)],
+                _sync=False,
+            )
         incremental.topology_version += 1
         if interference is not None:
             interference._mark_synced()
-
-        for rs, cs in results:
-            if rs is not None:
-                repairs.append(rs)
-            if cs is not None:
-                conflict_repairs.append(cs)
 
         stats = BatchApplyStats(
             events=len(events),
@@ -333,8 +302,6 @@ def apply_events_parallel(
             repairs=repairs,
             conflict_repairs=conflict_repairs,
             wall_time=time.perf_counter() - t0,
-            backend="thread" if use_threads else "serial",
-            jobs=eff_jobs if use_threads else 1,
         )
         sp.set(groups=stats.groups, nodes_touched=stats.nodes_touched)
     return stats

@@ -80,14 +80,30 @@ def filter_injections(injections, alive) -> "tuple[list, int]":
     An injection ``(node, dest, count)`` is only usable when both
     endpoints are currently up: a down source cannot inject, and a
     packet for a down destination can never be absorbed.  Returns
-    ``(usable, refused)`` where ``refused`` is the packet count whose
-    injection was refused (charged as offered-but-not-accepted drops).
+    ``(usable, refused)`` where ``usable`` keeps the injections' order
+    and ``refused`` is the packet count whose injection was refused
+    (charged as offered-but-not-accepted drops).  Only the injection
+    endpoints are looked up, with one ``searchsorted`` on the sorted
+    ``alive`` ids, so the cost does not grow with the live set.
     """
-    alive_set = {int(v) for v in alive}
+    injections = list(injections)
+    if not injections:
+        return [], 0
+    live = np.sort(np.asarray(alive, dtype=np.int64).ravel())
+    ends = np.fromiter(
+        (int(v) for node, dest, _ in injections for v in (node, dest)),
+        dtype=np.int64,
+        count=2 * len(injections),
+    )
+    if len(live):
+        at = np.minimum(np.searchsorted(live, ends), len(live) - 1)
+        up = live[at] == ends
+    else:
+        up = np.zeros(len(ends), dtype=bool)
     usable = []
     refused = 0
-    for node, dest, count in injections:
-        if int(node) in alive_set and int(dest) in alive_set:
+    for (node, dest, count), ok in zip(injections, (up[0::2] & up[1::2]).tolist()):
+        if ok:
             usable.append((node, dest, count))
         else:
             refused += int(count)

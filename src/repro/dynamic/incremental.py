@@ -13,16 +13,18 @@ event at position *p* can only change
 
 :class:`IncrementalTheta` maintains the exact ΘALG output under
 :mod:`repro.dynamic.events` streams by re-running both phases on that
-bounded region only.  A repair is O(1) array passes over its dirty
-region, whatever its size: one batched grid query finds the dirty set,
-one query plus one owner-keyed lexsort decides phase 1 for every dirty
-node, and one lexsort over the flattened in-sets decides phase 2 for
-every receiver (the per-node versions these replaced are kept as
-oracles in :mod:`repro._reference`).  It replicates the vectorized
-kernels' arithmetic bit-for-bit — same subtraction orientation, same
-``np.hypot``/``np.arctan2`` expressions, same in-range epsilon
-(``d² ≤ D² + 1e-12``), same (distance, node-id) tie-breaking — so the
-maintained topology is **edge-for-edge identical** to
+bounded region only.  A batch of independent event groups is repaired
+in O(1) array passes per batch, whatever the number of groups and the
+size of their dirty regions: one batched grid query finds every
+group's dirty set, one query plus one owner-keyed lexsort decides phase
+1 for every dirty node, and one lexsort over the flattened in-sets
+decides phase 2 for every receiver (the per-node versions these
+replaced are kept as oracles in :mod:`repro._reference`).  A single
+event or merged-region batch is the one-group case.  It replicates
+the vectorized kernels' arithmetic bit-for-bit — same subtraction
+orientation, same ``np.hypot``/``np.arctan2`` expressions, same
+in-range epsilon (``d² ≤ D² + 1e-12``), same (distance, node-id)
+tie-breaking — so the maintained topology is **edge-for-edge identical** to
 :func:`repro.core.theta.theta_algorithm` recomputed from scratch on
 the live node set after every event (asserted by
 :meth:`IncrementalTheta.check_full_equivalence` and the property tests
@@ -36,8 +38,8 @@ in ``tests/test_dynamic_incremental.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -59,6 +61,11 @@ from repro.obs import trace
 from repro.utils.arrays import run_starts, sorted_unique
 
 __all__ = ["RepairStats", "IncrementalTheta", "DynamicTopology", "StepChurn"]
+
+_MASK = (1 << 32) - 1
+#: Pair budget of one block of the update-radius pass (≈16 MB of float64
+#: coordinate differences).
+_RADIUS_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,9 @@ class IncrementalTheta:
     * ``_out[u]``: ``{sector → target}`` — u's phase-1 Yao choices;
     * ``_in[x]``: ``{sources w with x ∈ N(w)}`` — reverse index;
     * ``_admit[x]``: ``{sector → admitted source}`` — phase-2 result;
-    * ``_edge_dirs[(lo, hi)]``: 1 or 2 — how many of the two directed
-      choices of undirected edge ``{lo, hi}`` survived pruning.
+    * ``_edge_dirs[(lo << 32) | hi]``: 1 or 2 — how many of the two
+      directed choices of undirected edge ``{lo, hi}`` survived pruning,
+      keyed by the packed int64 edge code (lexicographic pair order).
     """
 
     def __init__(
@@ -151,10 +159,10 @@ class IncrementalTheta:
             self._out.setdefault(u, {})[sec] = v
             self._in.setdefault(v, set()).add(u)
         self._admit: "dict[int, dict[int, int]]" = {}
-        self._edge_dirs: "dict[tuple[int, int], int]" = {}
+        self._edge_dirs: "dict[int, int]" = {}
         for (x, sec), w in topo.admitted.items():
             self._admit.setdefault(x, {})[sec] = w
-            key = (w, x) if w < x else (x, w)
+            key = (w << 32) | x if w < x else (x << 32) | w
             self._edge_dirs[key] = self._edge_dirs.get(key, 0) + 1
 
     # ------------------------------------------------------------------
@@ -190,16 +198,12 @@ class IncrementalTheta:
 
     def edge_set(self) -> "set[tuple[int, int]]":
         """The maintained topology N as undirected global-id pairs."""
-        return set(self._edge_dirs)
+        return {(c >> 32, c & _MASK) for c in self._edge_dirs}
 
     def edge_array(self) -> np.ndarray:
         """``(m, 2)`` sorted intp array of the undirected edges."""
-        # Sort packed (lo << 32) | hi codes: the lexicographic pair order.
-        codes = np.fromiter(
-            ((lo << 32) | hi for lo, hi in self._edge_dirs),
-            dtype=np.int64,
-            count=len(self._edge_dirs),
-        )
+        # Sorted packed (lo << 32) | hi codes: the lexicographic pair order.
+        codes = np.fromiter(self._edge_dirs, dtype=np.int64, count=len(self._edge_dirs))
         codes.sort()
         edges = np.empty((len(codes), 2), dtype=np.intp)
         edges[:, 0] = codes >> 32
@@ -283,8 +287,8 @@ class IncrementalTheta:
         exact ΘALG of the final live positions; property-tested in
         ``tests/test_dynamic_batching.py``).
 
-        For grouping a step's events into *independent* batches and
-        applying them concurrently, see
+        For grouping a step's events into *independent* groups and
+        repairing them all in shared array passes, see
         :func:`repro.dynamic.batching.apply_events_parallel`.
         """
         t0 = time.perf_counter()
@@ -381,121 +385,202 @@ class IncrementalTheta:
         the current live positions on the touched region, whatever
         sequence of mutations produced those positions.
 
-        With ``collect_diff=True`` returns ``(stats, diff)`` where
-        ``diff`` is a compact state delta replayable on an in-sync
-        replica via :meth:`apply_repair_diff`.  Diff entries are
-        recorded in repair order (dict insertion order survives pickling),
-        so a replay produces the exact same transition sequence.
+        This is the one-group call of :meth:`_repair_groups`; the stats
+        carry ``kind`` and ``node``.  With ``collect_diff=True`` returns
+        ``(stats, diff)`` where ``diff`` is a compact state delta
+        replayable on an in-sync replica via :meth:`apply_repair_diff`.
+        Diff entries are recorded in repair order (dict insertion order
+        survives pickling), so a replay produces the exact same
+        transition sequence.
         """
-        with trace.span("dynamic.repair", kind=kind, node=node):
-            D = self.max_range
+        result = self._repair_groups([contexts], collect_diff=collect_diff)[0]
+        if collect_diff:
+            stats, diff = result
+            return replace(stats, kind=kind, node=node), diff
+        return replace(result, kind=kind, node=node)
+
+    def _repair_groups(
+        self,
+        groups: "list[list[tuple[str, int, list[np.ndarray]]]]",
+        *,
+        collect_diff: bool = False,
+    ) -> list:
+        """Repair several independent event groups in shared array passes.
+
+        ``groups`` holds one context list per group.  The groups must be
+        independent — anchors of different groups farther apart than
+        :func:`repro.dynamic.batching.independence_radius`, as
+        :func:`~repro.dynamic.batching.group_events` guarantees — so no
+        two groups share a dirty node, a receiver or an edge, and no
+        group's array pass reads state another group's transitions
+        write.  One grid query finds every group's dirty set (keyed
+        ``(group << 32) | node`` and split by group after one sort), one
+        :meth:`_yao_choices_many` decides phase 1 for all of them, one
+        :meth:`_admissions_many` decides phase 2 for every group's live
+        receivers, and one pass measures every group's update radius.
+        Transitions still apply group by group in sorted node and
+        receiver order, each group with its own changelog and diff.
+
+        Returns one :class:`RepairStats` (kind ``"batch"``, node -1) per
+        group — or one ``(stats, diff)`` pair with ``collect_diff`` —
+        each equal to a lone :meth:`_repair_batch` of that group.
+        """
+        if not groups:
+            return []
+        with trace.span("dynamic.repair", groups=len(groups)):
+            idx = self._index
+            n_groups = len(groups)
+            group_lo = np.arange(n_groups + 1, dtype=np.int64) << 32
             anchors: "list[np.ndarray]" = []
-            event_nodes: "list[int]" = []
-            seen: "set[int]" = set()
-            for _, nd, anchs in contexts:
-                anchors.extend(anchs)
-                if nd not in seen:
-                    seen.add(nd)
-                    event_nodes.append(nd)
+            anchor_counts: "list[int]" = []
+            plans: "list[tuple[list[int], list[int]]]" = []
+            alive_keys: "list[int]" = []
+            for g, contexts in enumerate(groups):
+                event_nodes = list(dict.fromkeys(nd for _, nd, _ in contexts))
+                before = len(anchors)
+                for ctx in contexts:
+                    anchors.extend(ctx[2])
+                anchor_counts.append(len(anchors) - before)
+                alive = [nd for nd in event_nodes if idx.is_alive(nd)]
+                dead = [nd for nd in event_nodes if not idx.is_alive(nd)]
+                alive_keys.extend((g << 32) | nd for nd in alive)
+                plans.append((alive, dead))
+            apos = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
+            anchor_group = np.repeat(np.arange(n_groups, dtype=np.int64), anchor_counts)
 
-            # Phase-1 dirty set A: live nodes whose candidate neighborhood
-            # intersects a disk of radius D around an anchor.
-            hits = self._index.query_radius_many(np.asarray(anchors), D)[1]
-            alive_nodes = [nd for nd in event_nodes if self._index.is_alive(nd)]
-            dead_nodes = [nd for nd in event_nodes if not self._index.is_alive(nd)]
-            dirty_sorted = sorted_unique(
-                np.concatenate([hits, np.asarray(alive_nodes, dtype=np.intp)])
-            ).tolist()
-            dirty = set(dirty_sorted)
-
-            receivers: "set[int]" = set()
-            flipped = 0
-            log: "dict[tuple[int, int], int]" = {}
-            out_diff: "dict[int, dict[int, int] | None]" = {}
-            admit_diff: "dict[int, dict[int, int] | None]" = {}
-            # Targets of surviving event nodes *before* any recompute:
-            # their distances to even unchanged targets may have shifted
-            # (moves — including a leave/re-join at a new position inside
-            # one batch), so every old/new target must re-prune.
-            pre_targets = {nd: set(self._out.get(nd, {}).values()) for nd in alive_nodes}
-            receivers.update(alive_nodes)
-            for nd in dead_nodes:
-                if nd in self._out:
-                    # Departed node: retract its Yao choices; each former
-                    # target loses an in-edge and must re-prune.
-                    out_diff[nd] = None
-                    for v in self._out.pop(nd).values():
-                        self._in[v].discard(nd)
-                        receivers.add(v)
-
-            choices = self._yao_choices_many(dirty_sorted)
-            for u in dirty_sorted:
-                new_choices = choices.get(u, {})
-                old_choices = self._out.get(u, {})
-                if new_choices != old_choices:
-                    # Diff by *target set*, not per sector: a target that
-                    # merely switched cones of u (possible only when u or
-                    # the target moved) keeps its in-edge, and the mover
-                    # is already in ``receivers``.
-                    if collect_diff:
-                        out_diff[u] = new_choices if new_choices else None
-                    old_targets = set(old_choices.values())
-                    new_targets = set(new_choices.values())
-                    for v in old_targets - new_targets:
-                        if v in self._in:
-                            self._in[v].discard(u)
-                        receivers.add(v)
-                    for v in new_targets - old_targets:
-                        self._in.setdefault(v, set()).add(u)
-                        receivers.add(v)
-                if new_choices:
-                    self._out[u] = new_choices
-                else:
-                    self._out.pop(u, None)
-
-            for nd in alive_nodes:
-                receivers.update(pre_targets[nd])
-                receivers.update(self._out.get(nd, {}).values())
-
-            for nd in dead_nodes:
-                # Retract the departed node's own admissions and in-set.
-                old_admit = self._admit.pop(nd, None)
-                if old_admit:
-                    admit_diff[nd] = None
-                    for w in old_admit.values():
-                        flipped += self._drop_dir(w, nd, log)
-                self._in.pop(nd, None)
-                receivers.discard(nd)
-
-            # Phase 2 for every live receiver in one pass; transitions
-            # then apply in sorted receiver order, so the changelog and
-            # the diff replay order do not depend on the batching.
-            rec = np.fromiter(receivers, dtype=np.intp, count=len(receivers))
-            rec.sort()
-            live_rec = rec[self._index.alive_mask(rec)].tolist()
-            admissions = self._admissions_many(live_rec)
-            for x in live_rec:
-                new_admit = admissions.get(x, {})
-                if new_admit != self._admit.get(x, {}):
-                    flipped += self._install_admit(x, new_admit, log)
-                    if collect_diff:
-                        admit_diff[x] = new_admit or None
-
-            touched = dirty | receivers | set(dead_nodes)
-            radius = self._touched_radius(touched, anchors)
-            stats = RepairStats(
-                kind=kind,
-                node=node,
-                update_radius=radius,
-                nodes_touched=len(touched),
-                edges_flipped=flipped,
-                wall_time=0.0,
-                edges_added=tuple(k for k in sorted(log) if log[k] > 0),
-                edges_removed=tuple(k for k in sorted(log) if log[k] < 0),
+            # Phase-1 dirty sets: live nodes whose candidate neighborhood
+            # intersects a disk of radius D around one of the group's
+            # anchors, keyed (group << 32) | node.
+            indptr, hits = idx.query_radius_many(apos, self.max_range)
+            hit_group = np.repeat(anchor_group << 32, np.diff(indptr))
+            dirty_keys = sorted_unique(
+                np.concatenate([hit_group | hits, np.asarray(alive_keys, dtype=np.int64)])
             )
-            if collect_diff:
-                return stats, {"out": out_diff, "admit": admit_diff, "dead": list(dead_nodes)}
-            return stats
+            dirty_nodes = dirty_keys & _MASK
+            dirty_all = dirty_nodes.tolist()
+            dirty_at = np.searchsorted(dirty_keys, group_lo).tolist()
+            choices = self._yao_choices_many(dirty_nodes)
+
+            logs: "list[dict[int, int]]" = []
+            flips: "list[int]" = []
+            out_diffs: "list[dict[int, dict[int, int] | None]]" = []
+            admit_diffs: "list[dict[int, dict[int, int] | None]]" = []
+            receiver_sets: "list[set[int]]" = []
+            touched_sets: "list[set[int]]" = []
+            for g, (alive, dead) in enumerate(plans):
+                log: "dict[int, int]" = {}
+                out_diff: "dict[int, dict[int, int] | None]" = {}
+                admit_diff: "dict[int, dict[int, int] | None]" = {}
+                # Surviving event nodes re-prune, and so do their targets
+                # from before the repair: their distances to even
+                # unchanged targets may have shifted (moves — including a
+                # leave/re-join at a new position inside one batch).
+                receivers = set(alive)
+                for nd in alive:
+                    receivers.update(self._out.get(nd, {}).values())
+                flipped = 0
+                for nd in dead:
+                    if nd in self._out:
+                        # Departed node: retract its Yao choices; each
+                        # former target loses an in-edge and must re-prune.
+                        out_diff[nd] = None
+                        for v in self._out.pop(nd).values():
+                            self._in[v].discard(nd)
+                            receivers.add(v)
+
+                dirty = dirty_all[dirty_at[g] : dirty_at[g + 1]]
+                for u in dirty:
+                    new_choices = choices.get(u, {})
+                    old_choices = self._out.get(u, {})
+                    if new_choices != old_choices:
+                        # Diff by *target set*, not per sector: a target
+                        # that merely switched cones of u (possible only
+                        # when u or the target moved) keeps its in-edge,
+                        # and the mover is already in ``receivers``.
+                        if collect_diff:
+                            out_diff[u] = new_choices if new_choices else None
+                        old_targets = set(old_choices.values())
+                        new_targets = set(new_choices.values())
+                        for v in old_targets - new_targets:
+                            if v in self._in:
+                                self._in[v].discard(u)
+                            receivers.add(v)
+                        for v in new_targets - old_targets:
+                            self._in.setdefault(v, set()).add(u)
+                            receivers.add(v)
+                    if new_choices:
+                        self._out[u] = new_choices
+                    else:
+                        self._out.pop(u, None)
+
+                for nd in alive:
+                    receivers.update(self._out.get(nd, {}).values())
+                for nd in dead:
+                    # Retract the departed node's own admissions and in-set.
+                    old_admit = self._admit.pop(nd, None)
+                    if old_admit:
+                        admit_diff[nd] = None
+                        for w in old_admit.values():
+                            flipped += self._drop_dir(w, nd, log)
+                    self._in.pop(nd, None)
+                    receivers.discard(nd)
+                logs.append(log)
+                flips.append(flipped)
+                out_diffs.append(out_diff)
+                admit_diffs.append(admit_diff)
+                receiver_sets.append(receivers)
+                touched_sets.append(receivers.union(dirty, dead))
+
+            # Phase 2 for every group's live receivers in one pass;
+            # transitions then apply per group in sorted receiver order,
+            # so changelogs and diff replay order match a lone repair.
+            rec_counts = [len(r) for r in receiver_sets]
+            rec_keys = np.fromiter(
+                chain.from_iterable(receiver_sets), dtype=np.int64, count=sum(rec_counts)
+            )
+            rec_keys |= np.repeat(group_lo[:-1], rec_counts)
+            rec_keys.sort()
+            live_keys = rec_keys[idx.alive_mask(rec_keys & _MASK)]
+            live_rec = (live_keys & _MASK).tolist()
+            rec_at = np.searchsorted(live_keys, group_lo).tolist()
+            admissions = self._admissions_many(live_rec)
+            for g in range(n_groups):
+                log, admit_diff = logs[g], admit_diffs[g]
+                for x in live_rec[rec_at[g] : rec_at[g + 1]]:
+                    new_admit = admissions.get(x, {})
+                    if new_admit != self._admit.get(x, {}):
+                        flips[g] += self._install_admit(x, new_admit, log)
+                        if collect_diff:
+                            admit_diff[x] = new_admit or None
+
+            touched_counts = [len(t) for t in touched_sets]
+            touched = np.fromiter(
+                chain.from_iterable(touched_sets), dtype=np.intp, count=sum(touched_counts)
+            )
+            touched_group = np.repeat(np.arange(n_groups), touched_counts)
+            radii = self._touched_radii(
+                touched, touched_group, touched_counts, apos, anchor_group, anchor_counts
+            )
+            out = []
+            for g in range(n_groups):
+                log = logs[g]
+                changed = sorted(log)
+                stats = RepairStats(
+                    kind="batch",
+                    node=-1,
+                    update_radius=radii[g],
+                    nodes_touched=touched_counts[g],
+                    edges_flipped=flips[g],
+                    wall_time=0.0,
+                    edges_added=tuple((k >> 32, k & _MASK) for k in changed if log[k] > 0),
+                    edges_removed=tuple((k >> 32, k & _MASK) for k in changed if log[k] < 0),
+                )
+                if collect_diff:
+                    diff = {"out": out_diffs[g], "admit": admit_diffs[g], "dead": list(plans[g][1])}
+                    out.append((stats, diff))
+                else:
+                    out.append(stats)
+            return out
 
     def apply_repair_diff(self, diff: dict) -> None:
         """Splice a :meth:`_repair_batch` diff into an in-sync replica.
@@ -526,25 +611,52 @@ class IncrementalTheta:
         for nd in diff["dead"]:
             self._in.pop(int(nd), None)
 
-    def _touched_radius(self, touched: "set[int]", anchors: "list[np.ndarray]") -> float:
-        """Max over touched nodes of the distance to the *nearest* anchor.
+    def _touched_radii(
+        self,
+        touched: np.ndarray,
+        touched_group: np.ndarray,
+        counts: "list[int]",
+        anchors: np.ndarray,
+        anchor_group: np.ndarray,
+        anchor_counts: "list[int]",
+    ) -> "list[float]":
+        """Per group, the max over its touched nodes of the distance to
+        the *nearest* anchor of the same group (0 when none touched).
 
-        Chunked and vectorized: merged batches can touch thousands of
-        nodes against hundreds of anchors, where a per-node Python loop
-        would dominate the repair itself.
+        ``touched`` and ``anchors`` are group-major, with their group ids
+        and per-group counts alongside.  Blocks of up to 1024 touched
+        nodes meet the anchors of the groups they span in one broadcast;
+        in a block that spans several groups, pairs across groups are
+        masked out, so each node sees its own group's anchors only.  A
+        block's pair count stays under ``_RADIUS_PAIRS``.
         """
-        if not touched or not anchors:
-            return 0.0
-        tarr = np.fromiter(touched, dtype=np.intp, count=len(touched))
-        tpos = self._index.positions_of(tarr)
-        aarr = np.asarray(anchors, dtype=np.float64)
-        radius = 0.0
-        for lo in range(0, len(tarr), 1024):
-            blk = tpos[lo : lo + 1024]
-            d = blk[:, None, :] - aarr[None, :, :]
-            nearest = np.hypot(d[..., 0], d[..., 1]).min(axis=1)
-            radius = max(radius, float(nearest.max()))
-        return radius
+        radii = [0.0] * len(counts)
+        if len(touched) == 0:
+            return radii
+        a_hi = list(accumulate(anchor_counts))
+        tg = touched_group.tolist()
+        tpos = self._index.positions_of(touched)
+        tx, ty, ax, ay = tpos[:, 0], tpos[:, 1], anchors[:, 0], anchors[:, 1]
+        nearest = np.empty(len(touched))
+        lo = 0
+        while lo < len(touched):
+            hi = min(len(touched), lo + 1024)
+            first = a_hi[tg[lo]] - anchor_counts[tg[lo]]
+            span = a_hi[tg[hi - 1]] - first
+            if (hi - lo) * span > _RADIUS_PAIRS:
+                hi = lo + max(1, _RADIUS_PAIRS // span)
+            last = a_hi[tg[hi - 1]]
+            dist = np.hypot(tx[lo:hi, None] - ax[first:last], ty[lo:hi, None] - ay[first:last])
+            if tg[lo] != tg[hi - 1]:
+                dist[touched_group[lo:hi, None] != anchor_group[first:last]] = np.inf
+            nearest[lo:hi] = dist.min(axis=1)
+            lo = hi
+        ends = list(accumulate(counts))
+        some = [g for g, c in enumerate(counts) if c]
+        starts = [ends[g] - counts[g] for g in some]
+        for g, r in zip(some, np.maximum.reduceat(nearest, starts).tolist()):
+            radii[g] = r
+        return radii
 
     def _yao_choices_many(self, nodes: "list[int]") -> "dict[int, dict[int, int]]":
         """Phase 1 for a whole dirty set: nearest in-range neighbor per cone.
@@ -607,7 +719,7 @@ class IncrementalTheta:
         return out
 
     def _install_admit(
-        self, x: int, new: "dict[int, int]", log: "dict[tuple[int, int], int] | None" = None
+        self, x: int, new: "dict[int, int]", log: "dict[int, int] | None" = None
     ) -> int:
         """Replace receiver ``x``'s admissions with ``new``.
 
@@ -632,10 +744,10 @@ class IncrementalTheta:
             self._admit.pop(x, None)
         return flipped
 
-    def _add_dir(self, w: int, x: int, log: "dict[tuple[int, int], int] | None" = None) -> int:
+    def _add_dir(self, w: int, x: int, log: "dict[int, int] | None" = None) -> int:
         """Record that the directed choice w→x is admitted; 1 if the
         undirected edge {w, x} was created."""
-        key = (w, x) if w < x else (x, w)
+        key = (w << 32) | x if w < x else (x << 32) | w
         c = self._edge_dirs.get(key, 0)
         self._edge_dirs[key] = c + 1
         if c == 0:
@@ -648,10 +760,10 @@ class IncrementalTheta:
             return 1
         return 0
 
-    def _drop_dir(self, w: int, x: int, log: "dict[tuple[int, int], int] | None" = None) -> int:
+    def _drop_dir(self, w: int, x: int, log: "dict[int, int] | None" = None) -> int:
         """Retract the admitted direction w→x; 1 if the undirected edge
         {w, x} disappeared."""
-        key = (w, x) if w < x else (x, w)
+        key = (w << 32) | x if w < x else (x << 32) | w
         c = self._edge_dirs[key]
         if c == 1:
             del self._edge_dirs[key]
@@ -731,17 +843,16 @@ class DynamicTopology:
         kept in lockstep with the topology: its conflict rows are
         repaired after every event (or batch) from the repair's net edge
         changelog.
-    parallel / jobs / backend / workers:
+    parallel / backend / workers:
         When ``parallel`` is true, each step's events are grouped by
         dirty-region overlap (:func:`repro.dynamic.batching.apply_events_parallel`)
         and independent groups are applied as merged-region batches.
-        ``backend`` selects the execution path: ``None`` auto-selects
-        serial/thread by group count, ``"serial"`` / ``"thread"`` force
-        one, and ``"process"`` lazily builds a
+        ``backend`` selects the execution path: ``None`` or ``"serial"``
+        repairs every group in this process with one batch-wide call of
+        each repair kernel, and ``"process"`` lazily builds a
         :class:`~repro.parallel.pool.TileWorkerPool` of ``workers``
         processes sized to :attr:`capacity` (call :meth:`close`, or use
-        as a context manager, to stop it).  ``jobs`` keeps the legacy
-        thread-count contract.
+        as a context manager, to stop it).
     capacity:
         Optional explicit node-id capacity (router sizing).  Defaults
         to the largest id mentioned by ``incremental`` or ``events`` —
@@ -757,7 +868,6 @@ class DynamicTopology:
         *,
         interference=None,
         parallel: bool = False,
-        jobs: "int | None" = None,
         backend: "str | None" = None,
         workers: "int | None" = None,
         capacity: "int | None" = None,
@@ -766,7 +876,6 @@ class DynamicTopology:
         self.events = events
         self.interference = interference
         self.parallel = bool(parallel)
-        self.jobs = jobs if jobs is None else int(jobs)
         self.backend = backend
         self.workers = workers
         self.events_applied = 0
@@ -825,7 +934,6 @@ class DynamicTopology:
                 self.incremental,
                 evs,
                 interference=self.interference,
-                jobs=self.jobs,
                 backend=self.backend,
                 pool=pool,
             )

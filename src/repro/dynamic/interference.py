@@ -13,8 +13,9 @@ the topology repair:
   exactly the *changed* edges — net added edges, net removed edges, and
   edges incident to a moved node — and splicing the diffs into their
   neighbors' rows repairs every affected row;
-* all rows of one repair are recomputed in O(1) array passes: one
-  batched grid query
+* all rows of one batch — every independent event group's changed
+  edges — are recomputed in O(1) array passes per batch: one batched
+  grid query
   (:meth:`~repro.geometry.spatialindex.DynamicGridIndex.query_radius_many`)
   around both endpoints of every row at the maximum possible guard
   reach, one expansion of the candidate nodes to their incident edges,
@@ -240,6 +241,8 @@ class DynamicInterference:
     ):
         """Splice a net topology diff into the maintained conflict rows.
 
+        The one-group call of :meth:`update_groups`.
+
         Parameters
         ----------
         added / removed:
@@ -252,54 +255,91 @@ class DynamicInterference:
             same splice on an in-sync replica (:meth:`apply_row_diff`)
             without touching geometry.
         """
+        return self.update_groups(
+            [(added, removed, moved_nodes)], _sync=_sync, collect_diff=collect_diff
+        )[0]
+
+    def update_groups(self, items, *, _sync: bool = True, collect_diff: bool = False) -> list:
+        """Splice several independent groups' topology diffs at once.
+
+        ``items`` are ``(added, removed, moved_nodes)`` triples, one per
+        event group, as :meth:`update` takes them.  The groups must be
+        independent (the 2(4+Δ)D grouping of
+        :func:`repro.dynamic.batching.group_events`): then they share no
+        edge and no conflict row.  Each group retracts and registers its
+        edges, one :meth:`_recompute_rows` rebuilds every group's rows,
+        and each group splices its rows in sorted code order.  Returns
+        one :class:`ConflictRepairStats` — or one ``(stats, row_diff)``
+        pair with ``collect_diff`` — per group, each equal to a lone
+        :meth:`update` of that group bar ``wall_time``.  The groups'
+        wall times sum to the call's wall time: each group's own
+        retract/register/splice time plus a share of the shared pass
+        proportional to its recomputed rows.
+        """
         t0 = time.perf_counter()
-        with trace.span(
-            "dynamic.conflict_repair", added=len(added), removed=len(removed)
-        ) as sp:
-            removed_codes = [_pack(int(lo), int(hi)) for lo, hi in removed]
-            added_codes = [_pack(int(lo), int(hi)) for lo, hi in added]
+        with trace.span("dynamic.conflict_repair", groups=len(items)) as sp:
+            plans = []
+            entries: "list[int]" = []
+            own: "list[float]" = []
+            all_codes: "list[int]" = []
+            for added, removed, moved_nodes in items:
+                t = time.perf_counter()
+                removed_codes = [_pack(int(lo), int(hi)) for lo, hi in removed]
+                added_codes = [_pack(int(lo), int(hi)) for lo, hi in added]
+                entries.append(self._retract(removed_codes))
+                self._register(added_codes)
+                # Rows to rebuild from geometry: added edges, plus the
+                # persisting edges whose guard zones moved with a mover.
+                recompute: "set[int]" = set(added_codes)
+                for nd in moved_nodes:
+                    recompute.update(self._incident.get(int(nd), _EMPTY))
+                codes = sorted(recompute)
+                all_codes.extend(codes)
+                plans.append((removed_codes, added_codes, codes))
+                own.append(time.perf_counter() - t)
 
-            entries = self._retract(removed_codes)
-            self._register(added_codes)
-
-            # Rows to rebuild from geometry: added edges, plus the
-            # persisting edges whose guard zones moved with a mover.
-            recompute: "set[int]" = set(added_codes)
-            for nd in moved_nodes:
-                recompute.update(self._incident.get(int(nd), _EMPTY))
-            codes = sorted(recompute)
-            rad2_list, new_rows = self._recompute_rows(codes)
-            rad2_diff: "dict[int, float]" = dict(zip(codes, rad2_list)) if collect_diff else {}
-            row_diff: "dict[int, list[int]]" = {}
-            for c, new_row in zip(codes, new_rows):
+            rad2_list, new_rows = self._recompute_rows(all_codes)
+            diffs = []
+            lo = 0
+            for g, (removed_codes, added_codes, codes) in enumerate(plans):
+                t = time.perf_counter()
+                hi = lo + len(codes)
+                for c, new_row in zip(codes, new_rows[lo:hi]):
+                    entries[g] += self._splice_row(c, set(new_row))
                 if collect_diff:
-                    row_diff[c] = new_row
-                entries += self._splice_row(c, set(new_row))
+                    diffs.append(
+                        {
+                            "removed": removed_codes,
+                            "added": added_codes,
+                            "rad2": dict(zip(codes, rad2_list[lo:hi])),
+                            "rows": dict(zip(codes, new_rows[lo:hi])),
+                        }
+                    )
+                own[g] += time.perf_counter() - t
+                lo = hi
 
             self._csr = None
             if _sync:
                 self._synced_version = self.inc.topology_version
-            stats = ConflictRepairStats(
-                rows_recomputed=len(recompute),
-                entries_changed=entries,
-                edges_added=len(added_codes),
-                edges_removed=len(removed_codes),
-                wall_time=time.perf_counter() - t0,
-            )
-            sp.set(rows=stats.rows_recomputed, entries=entries)
+            shared = time.perf_counter() - t0 - sum(own)
+            n_rows = len(all_codes)
+            out = []
+            for g, (removed_codes, added_codes, codes) in enumerate(plans):
+                part = len(codes) / n_rows if n_rows else 1.0 / len(plans)
+                stats = ConflictRepairStats(
+                    rows_recomputed=len(codes),
+                    entries_changed=entries[g],
+                    edges_added=len(added_codes),
+                    edges_removed=len(removed_codes),
+                    wall_time=own[g] + shared * part,
+                )
+                out.append((stats, diffs[g]) if collect_diff else stats)
+            sp.set(rows=n_rows, entries=sum(entries))
         reg = metrics.active()
         if reg is not None:
-            reg.counter("dynamic.conflict_repairs").inc()
-            reg.counter("dynamic.conflict_rows_recomputed").inc(stats.rows_recomputed)
-        if collect_diff:
-            diff = {
-                "removed": removed_codes,
-                "added": added_codes,
-                "rad2": rad2_diff,
-                "rows": row_diff,
-            }
-            return stats, diff
-        return stats
+            reg.counter("dynamic.conflict_repairs").inc(len(items))
+            reg.counter("dynamic.conflict_rows_recomputed").inc(len(all_codes))
+        return out
 
     def apply_row_diff(self, diff: dict, *, _sync: bool = True) -> ConflictRepairStats:
         """Replay an :meth:`update` ``collect_diff`` delta on a replica.
@@ -470,7 +510,7 @@ class DynamicInterference:
         self._check_synced()
         rows = self._rows
         return np.fromiter(
-            (len(rows[c]) for c in codes.tolist()), dtype=np.int64, count=len(codes)
+            map(len, map(rows.__getitem__, codes.tolist())), dtype=np.int64, count=len(codes)
         )
 
     def interference_sets(self) -> InterferenceSets:

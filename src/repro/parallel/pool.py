@@ -1,10 +1,12 @@
 """Persistent tile-worker pool: process-parallel churn repair.
 
-The thread backend of :func:`repro.dynamic.batching.apply_events_parallel`
-proves group independence but cannot buy wall-clock speed — group repairs
-are Python-loop heavy, so the GIL serializes them.  This pool runs the
-groups in **worker processes** and keeps the result bit-identical to the
-serial path by construction:
+The serial path of :func:`repro.dynamic.batching.apply_events_parallel`
+repairs every group of a batch in one process, and the group
+transitions are Python-loop heavy, so threads could not overlap them
+under the GIL.  This pool runs the groups in **worker processes** — each
+worker repairs all the groups routed to it with one batch-wide call of
+each repair kernel, as the serial path does for the whole batch — and
+keeps the result bit-identical to the serial path by construction:
 
 * **Replicated state, shared geometry.**  Each worker forks from the
   parent *after* :meth:`DynamicGridIndex.share_buffers` moved the
@@ -299,26 +301,38 @@ def _worker_main(wid: int, conn) -> None:
                         elif kind == "recover":
                             inc._failed.discard(node)
                         inc._index.apply_shared_mutation(op, node, old_key, new_key)
-                out = []
-                for gid, ctxs, moved in assigned:
-                    last_span = f"pool.repair_group:{gid}"
-                    with trace.span(
-                        "pool.repair_group", worker=wid, group=gid, events=len(ctxs)
-                    ) as sp:
-                        rs, tdiff = inc._repair_batch(
-                            ctxs, kind="batch", node=-1, collect_diff=True
+                last_span = "pool.repair"
+                with trace.span(
+                    "pool.repair",
+                    worker=wid,
+                    groups=len(assigned),
+                    events=sum(len(ctxs) for _, ctxs, _ in assigned),
+                ) as sp:
+                    # One call of each kernel for every assigned group;
+                    # the reply stays per group.
+                    repaired = inc._repair_groups(
+                        [ctxs for _, ctxs, _ in assigned], collect_diff=True
+                    )
+                    conflicts = [(None, None)] * len(assigned)
+                    if di is not None:
+                        conflicts = di.update_groups(
+                            [
+                                (rs.edges_added, rs.edges_removed, moved)
+                                for (rs, _), (_, _, moved) in zip(repaired, assigned)
+                            ],
+                            _sync=False,
+                            collect_diff=True,
                         )
-                        cs = rdiff = None
-                        if di is not None:
-                            cs, rdiff = di.update(
-                                rs.edges_added, rs.edges_removed, moved,
-                                _sync=False, collect_diff=True,
-                            )
-                        sp.set(
-                            nodes_touched=rs.nodes_touched,
-                            diff_entries=_diff_size(tdiff, rdiff),
+                    out = [
+                        (gid, rs, tdiff, cs, rdiff)
+                        for (gid, _, _), (rs, tdiff), (cs, rdiff) in zip(
+                            assigned, repaired, conflicts
                         )
-                    out.append((gid, rs, tdiff, cs, rdiff))
+                    ]
+                    sp.set(
+                        nodes_touched=sum(o[1].nodes_touched for o in out),
+                        diff_entries=sum(_diff_size(o[2], o[4]) for o in out),
+                    )
                 inc.topology_version += 1
                 if di is not None:
                     di._mark_synced()
@@ -342,7 +356,7 @@ class TileWorkerPool:
         with full replicas of the topology state.
     interference:
         Optional :class:`~repro.dynamic.interference.DynamicInterference`
-        maintained alongside (same protocol as the thread backend).
+        maintained alongside (same protocol as the serial backend).
     workers:
         Worker process count (default: available cores).
     capacity:
@@ -386,7 +400,7 @@ class TileWorkerPool:
         if ctx.get_start_method() != "fork":
             raise RuntimeError(
                 "TileWorkerPool requires fork start (workers inherit the "
-                "topology replicas); use the thread or serial backend here"
+                "topology replicas); use the serial backend here"
             )
         self.inc = incremental
         self.di = interference
@@ -489,9 +503,9 @@ class TileWorkerPool:
     def apply_batch(self, events, *, radius: "float | None" = None) -> BatchApplyStats:
         """Apply one step's events across the worker pool.
 
-        Equivalent to ``apply_events_parallel(..., jobs=1)`` — same
-        final state, same per-group stats — with group repairs executed
-        in the owning tile's worker process.
+        Equivalent to ``apply_events_parallel(..., backend="serial")`` —
+        same final state, same per-group stats — with group repairs
+        executed in the owning tile's worker process.
         """
         if self._closed:
             raise RuntimeError("TileWorkerPool is closed")

@@ -174,6 +174,23 @@ class TestFaultInjection:
         )
         assert usable == [(0, 1, 2), (4, 0, 2)]
         assert refused == 4
+        injections = [(4, 0, 2), (0, 1, 2), (2, 1, 3), (1, 4, 5), (0, 3, 1)]
+        # Unsorted alive ids give the same split, in injection order.
+        assert filter_injections(injections, alive=[4, 0, 1]) == (
+            [(4, 0, 2), (0, 1, 2), (1, 4, 5)],
+            4,
+        )
+        # numpy integer ids, in the injections and in the alive array.
+        np_injections = [(np.int64(s), np.int32(d), c) for s, d, c in injections]
+        usable, refused = filter_injections(np_injections, alive=np.array([1, 0, 4]))
+        assert usable == [(4, 0, 2), (0, 1, 2), (1, 4, 5)] and refused == 4
+        assert filter_injections([], alive=[0, 1]) == ([], 0)
+        # Ids beyond every live id (and an empty live set) are refused.
+        assert filter_injections([(0, 99, 2), (99, 0, 1), (0, 1, 3)], alive=[0, 1]) == (
+            [(0, 1, 3)],
+            3,
+        )
+        assert filter_injections([(0, 1, 2)], alive=np.empty(0, dtype=np.intp)) == ([], 2)
 
     def test_refused_injections_counted_as_drops(self):
         # A destination that fails mid-run turns its traffic into drops,
@@ -218,7 +235,7 @@ class TestFaultInjection:
 
 
 class TestMACUnderChurn:
-    def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False, jobs=1):
+    def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False):
         from repro import DynamicInterference, DynamicMAC
 
         pts, d0, _ = _dynamic_setup(n, seed, steps)[:3]
@@ -230,7 +247,7 @@ class TestMACUnderChurn:
         )
         inc = IncrementalTheta(pts, THETA, d0)
         di = DynamicInterference(inc, 0.5)
-        dyn = DynamicTopology(inc, trace, interference=di, parallel=parallel, jobs=jobs)
+        dyn = DynamicTopology(inc, trace, interference=di, parallel=parallel)
         mac = DynamicMAC(di, rng=seed + 3)
         return dyn, di, mac
 
@@ -265,7 +282,7 @@ class TestMACUnderChurn:
     def test_parallel_dynamic_topology_matches_serial(self):
         n, steps = 30, 40
         dyn_s, di_s, _ = self._mac_setup(n, 4, steps)
-        dyn_p, di_p, _ = self._mac_setup(n, 4, steps, parallel=True, jobs=2)
+        dyn_p, di_p, _ = self._mac_setup(n, 4, steps, parallel=True)
         for t in range(steps):
             dyn_s.step(t)
             dyn_p.step(t)
