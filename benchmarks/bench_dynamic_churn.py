@@ -14,6 +14,12 @@ pays for the whole network.  Three gated comparisons at n = 10 000:
   (10%/step) beats the serial per-event loop while producing the
   identical edge set and conflict CSR.
 
+The interference comparison also gates memory: after the churn the
+maintained conflict structure may hold at most
+``CONFLICT_BYTES_PER_ENTRY`` bytes of arrays per conflict entry
+(``DynamicInterference.nbytes``; one entry is one side of one
+conflicting pair), reported as ``extra_info``.
+
 Runs in the CI bench-smoke job next to ``bench_perf_scaling.py``; the
 wall-clock means land in ``BENCH_baseline.json`` under the usual 3×
 regression gate.
@@ -39,6 +45,8 @@ from repro.interference.conflict import interference_sets
 THETA = math.pi / 9
 DELTA = 0.5
 SPEEDUP_FLOOR = 5.0
+#: Memory ceiling of the maintained conflict structure, bytes per entry.
+CONFLICT_BYTES_PER_ENTRY = 24.0
 
 
 def _world(n: int, *, rng: int = 2):
@@ -133,6 +141,16 @@ def test_churn_mac_conflict_incremental_vs_rebuild(benchmark, n):
     assert speedup >= SPEEDUP_FLOOR, (
         f"conflict repair only {speedup:.1f}x faster than a full rebuild "
         f"at n={n} (floor: {SPEEDUP_FLOOR}x)"
+    )
+    # The churned store, before a CSR materialization is cached beside it.
+    entries = int(di.degree_array().sum())
+    per_entry = di.nbytes / max(entries, 1)
+    benchmark.extra_info["conflict_entries"] = entries
+    benchmark.extra_info["conflict_bytes_per_entry"] = round(per_entry, 3)
+    print(f"conflict store: {entries} entries, {per_entry:.2f} bytes/entry")
+    assert per_entry <= CONFLICT_BYTES_PER_ENTRY, (
+        f"conflict store holds {per_entry:.1f} bytes per entry at n={n} "
+        f"(ceiling: {CONFLICT_BYTES_PER_ENTRY})"
     )
     # Bit-identical to the from-scratch rows while being fast.
     assert di.check_full_equivalence() == 0

@@ -14,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.dynamic.interference import ConflictRepairStats
 from repro.geometry.primitives import TWO_PI, as_points
 from repro.geometry.sectors import SectorPartition
 from repro.graphs.base import GeometricGraph
+from repro.interference.conflict import interference_sets
 from repro.interference.model import interference_radius
 from repro.sim.packets import Transmission
 from repro.utils.arrays import run_starts
@@ -24,6 +26,7 @@ from repro.utils.arrays import run_starts
 __all__ = [
     "all_pairs_within_reference",
     "admissions_reference",
+    "ConflictRowsReference",
     "balancing_decide_reference",
     "conflict_row_reference",
     "edge_rad2_reference",
@@ -336,17 +339,16 @@ def edge_rad2_reference(dyn, code: int) -> float:
 def conflict_row_reference(dyn, code: int) -> "set[int]":
     """Per-row conflict recompute of ``DynamicInterference`` (pre-batching).
 
-    I(code) from current geometry and the maintained ``_incident`` /
-    ``_rad2`` maps: one grid query per endpoint at the shared maximum
-    guard reach, then per candidate node ``u`` at squared distance
-    ``d2`` from an endpoint, every edge ``k`` at ``u`` with
+    I(code) from current geometry, the maintained ``_incident`` map and
+    the radii ``_rad2_of`` reads: one grid query per endpoint at the
+    shared maximum guard reach, then per candidate node ``u`` at squared
+    distance ``d2`` from an endpoint, every edge ``k`` at ``u`` with
     ``d2 ≤ r²(code)`` or ``d2 ≤ r²(k)``; ``code`` itself excluded.
     """
     index = dyn._index
     pab = index.positions_of(np.array([code >> 32, code & 0xFFFFFFFF], dtype=np.intp))
-    r2_own = dyn._rad2[code]
+    r2_own = float(dyn._rad2_of(np.array([code], dtype=np.int64))[0])
     incident = dyn._incident
-    rad2 = dyn._rad2
     row: "set[int]" = set()
     for p in pab:
         cand = index.query_radius(p, dyn._r_in)
@@ -361,8 +363,142 @@ def conflict_row_reference(dyn, code: int) -> "set[int]":
             if d2 <= r2_own:
                 row.update(edges_u)
             else:
-                for k in edges_u:
-                    if k not in row and d2 <= rad2[k]:
+                ks = sorted(edges_u)
+                rad2 = dyn._rad2_of(np.array(ks, dtype=np.int64)).tolist()
+                for k, r2 in zip(ks, rad2):
+                    if k not in row and d2 <= r2:
                         row.add(k)
     row.discard(code)
     return row
+
+
+class ConflictRowsReference:
+    """The dict-of-sets conflict-row maintainer (pre-array store).
+
+    ``DynamicInterference`` before its rows moved into a sorted
+    slot-pair array: ``_rows`` maps each edge code to the set of codes
+    of I(e), ``_incident`` each node to its edge codes, ``_rad2`` each
+    code to its squared shrunk guard radius.  :meth:`update_groups`
+    repairs the groups one after another, each as the per-event
+    maintainer did — retract the removed edges' rows, register the
+    added edges, recompute every rebuilt row with
+    :func:`conflict_row_reference`, and splice the rows in code order,
+    mirroring every changed entry into the neighbor's row.  Stats (bar
+    ``wall_time``, which is 0) and row diffs come out in the array
+    store's format, so a differential test compares them directly.
+    """
+
+    def __init__(self, incremental, delta: float) -> None:
+        self.inc = incremental
+        self.delta = float(delta)
+        self._index = incremental._index
+        D = float(incremental.max_range)
+        self._r_in = (1.0 + self.delta) * float(np.sqrt(D * D + 1e-12))
+        graph = incremental.snapshot_graph()
+        sets = interference_sets(graph, self.delta)
+        edges = graph.edges
+        codes = ((edges[:, 0].astype(np.int64) << 32) | edges[:, 1].astype(np.int64)).tolist()
+        self._rows: "dict[int, set[int]]" = {}
+        self._incident: "dict[int, set[int]]" = {}
+        self._rad2: "dict[int, float]" = {}
+        lengths = graph.edge_lengths
+        for k, code in enumerate(codes):
+            self._rows[code] = {codes[j] for j in sets[k].tolist()}
+            r = float(interference_radius(lengths[k], self.delta) * (1.0 - 1e-12))
+            self._rad2[code] = r * r
+        for (lo, hi), code in zip(edges.tolist(), codes):
+            self._incident.setdefault(lo, set()).add(code)
+            self._incident.setdefault(hi, set()).add(code)
+
+    def _rad2_of(self, codes) -> np.ndarray:
+        return np.array([self._rad2[int(c)] for c in codes], dtype=np.float64)
+
+    def rows(self) -> "dict[int, list[int]]":
+        """Every row as a sorted code list, keyed by edge code."""
+        return {c: sorted(row) for c, row in self._rows.items()}
+
+    def update_groups(self, items, *, collect_diff: bool = False) -> list:
+        return [self._update(*item, collect_diff=collect_diff) for item in items]
+
+    def _update(self, added, removed, moved_nodes, *, collect_diff: bool):
+        removed_codes = sorted((int(lo) << 32) | int(hi) for lo, hi in removed)
+        added_codes = sorted((int(lo) << 32) | int(hi) for lo, hi in added)
+        gained: "set[tuple[int, int]]" = set()
+        lost: "set[tuple[int, int]]" = set()
+        entries = self._retract(removed_codes, lost)
+        for c in added_codes:
+            self._incident.setdefault(c >> 32, set()).add(c)
+            self._incident.setdefault(c & 0xFFFFFFFF, set()).add(c)
+        recompute = set(added_codes)
+        for nd in moved_nodes:
+            recompute.update(self._incident.get(int(nd), ()))
+        codes = sorted(recompute)
+        for c in codes:
+            self._rad2[c] = edge_rad2_reference(self, c)
+        new_rows = [conflict_row_reference(self, c) for c in codes]
+        for c, row in zip(codes, new_rows):
+            entries += self._splice_row(c, row, gained, lost)
+        stats = ConflictRepairStats(
+            rows_recomputed=len(codes),
+            entries_changed=entries,
+            edges_added=len(added_codes),
+            edges_removed=len(removed_codes),
+            wall_time=0.0,
+        )
+        if not collect_diff:
+            return stats
+
+        def pairs(found):
+            return np.array(sorted(found), dtype=np.int64).reshape(-1, 2)
+
+        return stats, {
+            "removed": np.array(removed_codes, dtype=np.int64),
+            "added": np.array(added_codes, dtype=np.int64),
+            "codes": np.array(codes, dtype=np.int64),
+            "rad2": self._rad2_of(codes),
+            "gained": pairs(gained),
+            "lost": pairs(lost),
+        }
+
+    def _retract(self, removed_codes: "list[int]", lost: set) -> int:
+        """Drop removed edges' rows and their membership in neighbors' rows."""
+        rows = self._rows
+        entries = 0
+        for c in removed_codes:
+            row = rows.pop(c, None)
+            self._rad2.pop(c, None)
+            for nd in (c >> 32, c & 0xFFFFFFFF):
+                s = self._incident.get(nd)
+                if s is not None:
+                    s.discard(c)
+                    if not s:
+                        del self._incident[nd]
+            if row:
+                entries += 2 * len(row)
+                for nb in row:
+                    nb_row = rows.get(nb)
+                    if nb_row is not None:
+                        nb_row.discard(c)
+                    lost.add((min(c, nb), max(c, nb)))
+        return entries
+
+    def _splice_row(self, c: int, new_row: "set[int]", gained: set, lost: set) -> int:
+        """Install ``new_row`` as I(c), mirroring each change into the
+        neighbor rows; returns entries changed (both sides)."""
+        rows = self._rows
+        entries = 0
+        old_row = rows.get(c, frozenset())
+        for nb in old_row - new_row:
+            nb_row = rows.get(nb)
+            if nb_row is not None:
+                nb_row.discard(c)
+            lost.add((min(c, nb), max(c, nb)))
+            entries += 2
+        for nb in new_row - old_row:
+            nb_row = rows.get(nb)
+            if nb_row is not None:
+                nb_row.add(c)
+            gained.add((min(c, nb), max(c, nb)))
+            entries += 2
+        rows[c] = new_row
+        return entries

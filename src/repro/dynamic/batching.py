@@ -130,6 +130,25 @@ class _UnionFind:
             self._parent[rb] = ra
 
 
+def moved_nodes(incremental, events, idxs) -> "list[int]":
+    """Live nodes of one event group whose incident conflict rows move.
+
+    Every node the group moves or joins that is alive after phase A.  A
+    node that fails, moves while failed and recovers in one batch (or
+    leaves and rejoins elsewhere) can keep edges that are in the net
+    topology diff neither as added nor as removed, yet whose guard zones
+    moved with it; a per-event repair rebuilt those rows when the node
+    came back.  A fresh join's edges are all added, so naming it costs
+    nothing.
+    """
+    index = incremental._index
+    return [
+        int(events[i].node)
+        for i in idxs
+        if event_kind(events[i]) in ("move", "join") and index.is_alive(int(events[i].node))
+    ]
+
+
 def group_events(
     incremental,
     events: "list[Event]",
@@ -272,15 +291,7 @@ def apply_events_parallel(
             ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
             if ctxs:
                 groups.append(ctxs)
-                moved.append(
-                    [
-                        int(events[i].node)
-                        for i in idxs
-                        if contexts[i] is not None
-                        and contexts[i][0] == "move"
-                        and incremental._index.is_alive(int(events[i].node))
-                    ]
-                )
+                moved.append(moved_nodes(incremental, events, idxs))
         # Phase B — one call of each repair kernel for every group.
         repairs = incremental._repair_groups(groups)
         conflict_repairs = []

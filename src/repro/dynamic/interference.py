@@ -11,8 +11,8 @@ the topology repair:
   endpoint inside its guard neighborhood moves.  Because the relation
   is symmetric (``e' ∈ I(e) ⟺ e ∈ I(e')``), recomputing the rows of
   exactly the *changed* edges — net added edges, net removed edges, and
-  edges incident to a moved node — and splicing the diffs into their
-  neighbors' rows repairs every affected row;
+  edges incident to a moved node — and mirroring each changed entry
+  into the neighbor's row repairs every affected row;
 * all rows of one batch — every independent event group's changed
   edges — are recomputed in O(1) array passes per batch: one batched
   grid query
@@ -24,6 +24,21 @@ the topology repair:
   squared hit distance ``≤`` squared shrunk guard radius
   ``((1+Δ)·len·(1−1e-12))²``, inclusive at ties.  The per-row version
   it replaced is kept as an oracle in :mod:`repro._reference`.
+
+The relation lives in arrays, not in per-edge Python sets.  Every
+tracked edge code holds a process-local *slot*; a table sorted by code
+maps codes to slots with one ``searchsorted``.  One sorted int64 array
+holds ``(slot_a << 32) | slot_b`` for both orientations of every
+conflicting pair, next to per-slot degree and guard-radius arrays.
+Updates do not copy that array: changed keys toggle entries of a few
+sorted logs of growing size (a key logged an odd number of times flips
+its presence in the array).  A full log folds into the next, and the
+largest folds into the array once it passes ``_COMPACT_FRACTION`` of
+it, so a row read is an array slice corrected by the logs' slices.  A
+repair reads the old rows of every changed edge at once, sorts old and
+new keys once each, adds each changed entry's mirror as the swapped
+key, and installs everything with one merge.  The dict-of-sets
+maintainer this replaced is :class:`repro._reference.ConflictRowsReference`.
 
 The maintained rows materialize on demand into a CSR
 :class:`~repro.interference.conflict.InterferenceSets` aligned with
@@ -63,11 +78,72 @@ __all__ = [
 _MASK = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _EMPTY: "frozenset[int]" = frozenset()
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_KEYS.flags.writeable = False
+
+#: Changed keys go to the smallest of a few sorted logs.  Log ``i``
+#: holds up to ``_LOG_MIN * _LOG_RATIO**i`` keys and then folds into log
+#: ``i + 1``; the first log whose size reaches ``_COMPACT_FRACTION`` of
+#: the pair array folds into the array instead.  A fold copies its
+#: target, so each key is copied about ``_LOG_RATIO / 2`` times per
+#: level and the array only once per ``_COMPACT_FRACTION`` of its
+#: length in changes, however large it is.
+_COMPACT_FRACTION = 1 / 8
+_LOG_MIN = 1 << 14
+_LOG_RATIO = 8
+
+#: Installed key changes wait for the next row read (or an explicit
+#: flush) before they are merged, but never more than this many.
+_QUEUE_LIMIT = 32
 
 
-def _pack(lo: int, hi: int) -> int:
-    """One int64 key per undirected edge ``(lo, hi)``, lex-order preserving."""
-    return (lo << 32) | hi
+def _codes_of(pairs) -> np.ndarray:
+    """Sorted packed ``(lo << 32) | hi`` codes of undirected edge pairs."""
+    return np.array(sorted((int(lo) << 32) | int(hi) for lo, hi in pairs), dtype=np.int64)
+
+
+def _member(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``x`` present in the sorted array ``sorted_arr``."""
+    if len(sorted_arr) == 0 or len(x) == 0:
+        return np.zeros(len(x), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_arr, x), len(sorted_arr) - 1)
+    return sorted_arr[pos] == x
+
+
+def _merge_sorted(*runs: np.ndarray) -> np.ndarray:
+    """The sorted concatenation of sorted arrays.
+
+    A stable sort of the concatenation is a run-merging timsort: a
+    linear merge of the runs, faster in numpy than ``np.insert``.
+    """
+    out = np.concatenate(runs)
+    out.sort(kind="stable")
+    return out
+
+
+def _toggle(keys: np.ndarray, *runs: np.ndarray) -> np.ndarray:
+    """Symmetric difference of sorted arrays of distinct keys.
+
+    ``keys`` and each run are sorted and hold distinct keys; a key found
+    in two of them drops out (the runs must not share keys).
+    """
+    out = _merge_sorted(keys, *runs)
+    if len(out) < 2:
+        return out
+    dup = out[1:] == out[:-1]
+    if not dup.any():
+        return out
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] &= ~dup
+    keep[:-1] &= ~dup
+    return out[keep]
+
+
+def _both_ways(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct directed keys: every key of ``keys`` and its mirror."""
+    if len(keys) == 0:
+        return _NO_KEYS
+    return sorted_unique(np.concatenate([keys, ((keys & _MASK) << 32) | (keys >> 32)]))
 
 
 def edge_uniforms(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
@@ -128,7 +204,10 @@ class ConflictRepairStats:
         edges incident to a moved node).
     entries_changed:
         Row entries spliced in or out across the whole structure,
-        counting both sides of each symmetric pair.
+        counting both sides of each symmetric pair.  A pair of two
+        rebuilt rows whose later row (in code order) belongs to an added
+        edge counts four: the row-by-row splice this measures met it
+        once from each side.
     edges_added / edges_removed:
         Net topology edges this repair reacted to.
     wall_time:
@@ -174,9 +253,7 @@ class DynamicInterference:
         # in-range epsilon), so no guard radius exceeds (1+Δ)·√(D²+1e-12):
         # one candidate query radius covers both conflict directions.
         self._r_in = (1.0 + self.delta) * float(np.sqrt(D * D + 1e-12))
-        self._rows: "dict[int, set[int]]" = {}
         self._incident: "dict[int, set[int]]" = {}
-        self._rad2: "dict[int, float]" = {}
         self._csr: "InterferenceSets | None" = None
         self._synced_version = -1
         self._seed_from_scratch()
@@ -185,35 +262,245 @@ class DynamicInterference:
     # Seeding and introspection
     # ------------------------------------------------------------------
     def _seed_from_scratch(self) -> None:
-        """Build rows/incident maps from one vectorized full build."""
+        """Build the store from one vectorized full build; slot k is edge k."""
         graph = self.inc.snapshot_graph()
         sets = interference_sets(graph, self.delta)
         edges = graph.edges
+        m = len(edges)
         codes = (edges[:, 0].astype(np.int64) << 32) | edges[:, 1].astype(np.int64)
-        lengths = graph.edge_lengths
-        indptr, indices = sets.indptr, sets.indices
-        rows: "dict[int, set[int]]" = {}
+        order = np.argsort(codes)
+        #: Tracked codes, sorted, and the slot of each.
+        self._codes = codes[order]
+        self._slots = order.astype(np.int64)
+        #: Per slot: its code (-1 when free), squared shrunk guard
+        #: radius and conflict degree |I(e)|.
+        self._slot_code = codes.copy()
+        r = interference_radius(graph.edge_lengths, self.delta) * (1.0 - 1e-12)
+        self._rad2 = r * r
+        self._deg = np.diff(sets.indptr).astype(np.int64)
+        self._free = _NO_KEYS
+        #: Sorted directed pair keys, and the logs of keys toggled since
+        #: (smallest first); the relation is ``_pairs`` XOR every log.
+        self._pairs = (
+            np.repeat(np.arange(m, dtype=np.int64), self._deg) << 32
+        ) | sets.indices.astype(np.int64)
+        self._logs: "list[np.ndarray]" = [_NO_KEYS]
+        #: Installed ``(gain, lose, freed slots)`` changes not yet merged.
+        self._queued: list = []
         incident: "dict[int, set[int]]" = {}
-        rad2: "dict[int, float]" = {}
-        code_list = codes.tolist()
-        for k, code in enumerate(code_list):
-            rows[code] = set(codes[indices[indptr[k] : indptr[k + 1]]].tolist())
-            r = float(interference_radius(lengths[k], self.delta) * (1.0 - 1e-12))
-            rad2[code] = r * r
-        for (lo, hi), code in zip(edges.tolist(), code_list):
+        for (lo, hi), code in zip(edges.tolist(), codes.tolist()):
             incident.setdefault(lo, set()).add(code)
             incident.setdefault(hi, set()).add(code)
-        self._rows, self._incident, self._rad2 = rows, incident, rad2
+        self._incident = incident
         self._csr = sets
         self._synced_version = self.inc.topology_version
 
     @property
     def n_edges(self) -> int:
-        return len(self._rows)
+        return len(self._codes)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the conflict structure's arrays (CSR cache included)."""
+        self._flush()
+        arrays = [
+            self._codes,
+            self._slots,
+            self._slot_code,
+            self._rad2,
+            self._deg,
+            self._free,
+            self._pairs,
+            *self._logs,
+        ]
+        if self._csr is not None:
+            arrays += [self._csr.indptr, self._csr.indices]
+        return sum(a.nbytes for a in arrays)
 
     def edge_codes(self) -> np.ndarray:
         """Sorted packed ``(lo << 32) | hi`` keys of the tracked edges."""
-        return np.fromiter(sorted(self._rows), dtype=np.int64, count=len(self._rows))
+        return self._codes.copy()
+
+    def conflict_rows(self, codes) -> "list[np.ndarray]":
+        """I(e) of each tracked edge code in ``codes``, as sorted code arrays."""
+        codes = np.asarray(codes, dtype=np.int64)
+        slots, inverse = unique_inverse(self._slot_of(codes))
+        keys = self._rows_of(slots)
+        owner = keys >> 32
+        member = self._slot_code[keys & _MASK]
+        order = np.lexsort((member, owner))
+        member = member[order]
+        bounds = np.searchsorted(owner[order], np.append(slots, slots[-1] + 1 if len(slots) else 0))
+        rows = [member[bounds[i] : bounds[i + 1]] for i in range(len(slots))]
+        return [rows[i] for i in inverse.tolist()]
+
+    # ------------------------------------------------------------------
+    # The slot-pair store
+    # ------------------------------------------------------------------
+    def _positions(self, codes: np.ndarray) -> np.ndarray:
+        """Indices of ``codes`` in the code table; ``KeyError`` if untracked."""
+        table = self._codes
+        if len(codes) == 0:
+            return np.empty(0, dtype=np.intp)
+        if len(table) == 0:
+            raise KeyError(int(codes[0]))
+        pos = np.searchsorted(table, codes)
+        found = table[np.minimum(pos, len(table) - 1)] == codes
+        if not found.all():
+            raise KeyError(int(codes[~found][0]))
+        return pos
+
+    def _slot_of(self, codes) -> np.ndarray:
+        """Slots of tracked edge codes; ``KeyError`` for an untracked one."""
+        return self._slots[self._positions(np.asarray(codes, dtype=np.int64))]
+
+    def _rad2_of(self, codes) -> np.ndarray:
+        """Squared shrunk guard radii of tracked edge codes."""
+        return self._rad2[self._slot_of(codes)]
+
+    def _track(self, codes: np.ndarray) -> np.ndarray:
+        """Give untracked ``codes`` free slots and enter them in the table;
+        returns the slots, aligned with ``codes``."""
+        k = len(codes)
+        if k == 0:
+            return _NO_KEYS
+        if len(self._free) < k:
+            cap = len(self._slot_code)
+            grow = max(cap, k - len(self._free), 16)
+            self._slot_code = np.concatenate([self._slot_code, np.full(grow, -1, dtype=np.int64)])
+            self._rad2 = np.concatenate([self._rad2, np.zeros(grow)])
+            self._deg = np.concatenate([self._deg, np.zeros(grow, dtype=np.int64)])
+            self._free = np.concatenate([np.arange(cap + grow - 1, cap - 1, -1), self._free])
+        slots = self._free[len(self._free) - k :]
+        self._free = self._free[: len(self._free) - k]
+        order = np.argsort(codes)
+        at = self._codes.searchsorted(codes[order])
+        self._codes = np.insert(self._codes, at, codes[order])
+        self._slots = np.insert(self._slots, at, slots[order])
+        self._slot_code[slots] = codes
+        return slots
+
+    def _untrack(self, codes: np.ndarray) -> np.ndarray:
+        """Drop ``codes`` from the table; returns their slots, still held.
+
+        The slots keep their rows until :meth:`_install` retracts them
+        and hands the slots back to the free list.
+        """
+        if len(codes) == 0:
+            return _NO_KEYS
+        pos = self._positions(codes)
+        slots = self._slots[pos]
+        keep = np.ones(len(self._codes), dtype=bool)
+        keep[pos] = False
+        self._codes = self._codes[keep]
+        self._slots = self._slots[keep]
+        return slots
+
+    def _rows_of(self, slots: np.ndarray) -> np.ndarray:
+        """Directed keys of the current rows of the sorted ``slots``.
+
+        The rows' slice of the pair array, toggled by each log's slice;
+        sorted.
+        """
+        self._flush()
+        if len(slots) == 0:
+            return _NO_KEYS
+        lo, hi = slots << 32, (slots + 1) << 32
+        got = _NO_KEYS
+        for keys in (self._pairs, *self._logs):
+            if len(keys):
+                start = keys.searchsorted(lo)
+                got = _toggle(got, keys[ragged_arange(start, keys.searchsorted(hi) - start)])
+        return got
+
+    def _merge(self, gain: np.ndarray, lose: np.ndarray) -> None:
+        """Make the absent keys ``gain`` present and the present keys
+        ``lose`` absent (both sorted directed keys).
+
+        Each changed key toggles its entry in the smallest log: one
+        run-merging sort of the log with both runs, dropping keys met
+        twice.  Full logs then fold into larger ones, the last into the
+        array.
+        """
+        logs = self._logs
+        logs[0] = _toggle(logs[0], gain, lose)
+        limit = max(_COMPACT_FRACTION * len(self._pairs), _LOG_MIN)
+        cap = _LOG_MIN
+        i = 0
+        while len(logs[i]) > cap:
+            if cap >= limit:
+                self._pairs = _toggle(self._pairs, logs[i])
+                logs[i] = _NO_KEYS
+                break
+            if i + 1 == len(logs):
+                logs.append(_NO_KEYS)
+            logs[i + 1] = _toggle(logs[i + 1], logs[i])
+            logs[i] = _NO_KEYS
+            i += 1
+            cap *= _LOG_RATIO
+
+    def _compact(self) -> None:
+        """Fold every log into the pair array."""
+        for keys in self._logs:
+            if len(keys):
+                self._pairs = _toggle(self._pairs, keys)
+        self._logs = [_NO_KEYS]
+
+    def _install(self, gain: np.ndarray, lose: np.ndarray, rem_slots: np.ndarray) -> None:
+        """Install directed key changes: degrees now, the merge later.
+
+        ``gain`` and ``lose`` are sorted directed keys, mirrors included;
+        ``lose`` holds every entry of the removed edges' rows.  Degrees
+        change at once.  The keys queue until the next row read or
+        :meth:`_flush` merges them, so a caller can merge while it would
+        otherwise wait.  The removed edges' slots join the free list
+        only then, so a queued key never names a reused slot.
+        """
+        np.subtract.at(self._deg, lose >> 32, 1)
+        np.add.at(self._deg, gain >> 32, 1)
+        if len(rem_slots):
+            self._slot_code[rem_slots] = -1
+        self._queued.append((gain, lose, rem_slots))
+        if len(self._queued) > _QUEUE_LIMIT:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Merge every queued change, in install order."""
+        for gain, lose, rem_slots in self._queued:
+            self._merge(gain, lose)
+            if len(rem_slots):
+                self._free = np.concatenate([self._free, rem_slots])
+        self._queued.clear()
+
+    def _twice(self, a: np.ndarray, b: np.ndarray, rc_slots, add_slots) -> np.ndarray:
+        """Mask of the gained pairs ``(a, b)`` (slots) the row-by-row
+        splice counted twice.
+
+        A pair of two rebuilt rows whose later row (in code order) is an
+        added edge's: that row did not exist when the earlier one
+        spliced, so the splice met the pair once from each side.
+        """
+        if len(add_slots) == 0 or len(a) == 0:
+            return np.zeros(len(a), dtype=bool)
+        flags = np.zeros(len(self._slot_code), dtype=np.int8)
+        flags[rc_slots] = 1
+        flags[add_slots] = 3
+        later = np.where(self._slot_code[a] > self._slot_code[b], a, b)
+        return (flags[a] & flags[b] & (flags[later] >> 1)).astype(bool)
+
+    def _code_pairs(self, keys: np.ndarray, part: np.ndarray, n_parts: int) -> list:
+        """Directed slot keys (mirrors included) as per-part ``(k, 2)``
+        code pairs ``(lo, hi)`` in lexicographic order."""
+        ca, cb = self._slot_code[keys >> 32], self._slot_code[keys & _MASK]
+        one = ca < cb
+        ca, cb, part = ca[one], cb[one], part[one]
+        # (part, lo, hi) order: stable passes, cheaper than np.lexsort.
+        order = np.argsort(cb)
+        order = order[np.argsort(ca[order], kind="stable")]
+        order = order[np.argsort(part[order], kind="stable")]
+        pairs = np.column_stack([ca[order], cb[order]])
+        bounds = np.searchsorted(part[order], np.arange(n_parts + 1)).tolist()
+        return [pairs[bounds[i] : bounds[i + 1]] for i in range(n_parts)]
 
     # ------------------------------------------------------------------
     # Incremental repair
@@ -266,165 +553,214 @@ class DynamicInterference:
         event group, as :meth:`update` takes them.  The groups must be
         independent (the 2(4+Δ)D grouping of
         :func:`repro.dynamic.batching.group_events`): then they share no
-        edge and no conflict row.  Each group retracts and registers its
-        edges, one :meth:`_recompute_rows` rebuilds every group's rows,
-        and each group splices its rows in sorted code order.  Returns
+        edge and no conflict row.  One :meth:`_recompute_rows` rebuilds
+        every group's rows, one read of the old rows and one sort of
+        each side give every changed entry, and one :meth:`_merge`
+        installs them with their mirrors.  Returns
         one :class:`ConflictRepairStats` — or one ``(stats, row_diff)``
         pair with ``collect_diff`` — per group, each equal to a lone
         :meth:`update` of that group bar ``wall_time``.  The groups'
         wall times sum to the call's wall time: each group's own
-        retract/register/splice time plus a share of the shared pass
-        proportional to its recomputed rows.
+        bookkeeping time plus a share of the shared passes proportional
+        to its recomputed rows.
+
+        A ``row_diff`` holds sorted int64 arrays: the ``removed`` and
+        ``added`` edge codes, the recomputed ``codes`` with their
+        ``rad2``, and the ``gained`` and ``lost`` entries as ``(k, 2)``
+        code pairs ``(lo, hi)``, ``lo < hi``, in lexicographic order.
+        ``lost`` includes every entry of a removed edge's row, so a
+        replay reads no rows.
         """
         t0 = time.perf_counter()
         with trace.span("dynamic.conflict_repair", groups=len(items)) as sp:
             plans = []
-            entries: "list[int]" = []
             own: "list[float]" = []
-            all_codes: "list[int]" = []
             for added, removed, moved_nodes in items:
                 t = time.perf_counter()
-                removed_codes = [_pack(int(lo), int(hi)) for lo, hi in removed]
-                added_codes = [_pack(int(lo), int(hi)) for lo, hi in added]
-                entries.append(self._retract(removed_codes))
+                removed_codes = _codes_of(removed)
+                added_codes = _codes_of(added)
+                self._unregister(removed_codes)
                 self._register(added_codes)
                 # Rows to rebuild from geometry: added edges, plus the
                 # persisting edges whose guard zones moved with a mover.
-                recompute: "set[int]" = set(added_codes)
+                recompute: "set[int]" = set(added_codes.tolist())
                 for nd in moved_nodes:
                     recompute.update(self._incident.get(int(nd), _EMPTY))
-                codes = sorted(recompute)
-                all_codes.extend(codes)
+                codes = np.array(sorted(recompute), dtype=np.int64)
                 plans.append((removed_codes, added_codes, codes))
                 own.append(time.perf_counter() - t)
 
-            rad2_list, new_rows = self._recompute_rows(all_codes)
-            diffs = []
-            lo = 0
-            for g, (removed_codes, added_codes, codes) in enumerate(plans):
-                t = time.perf_counter()
-                hi = lo + len(codes)
-                for c, new_row in zip(codes, new_rows[lo:hi]):
-                    entries[g] += self._splice_row(c, set(new_row))
-                if collect_diff:
-                    diffs.append(
-                        {
-                            "removed": removed_codes,
-                            "added": added_codes,
-                            "rad2": dict(zip(codes, rad2_list[lo:hi])),
-                            "rows": dict(zip(codes, new_rows[lo:hi])),
-                        }
-                    )
-                own[g] += time.perf_counter() - t
-                lo = hi
-
+            n_groups = len(plans)
+            removed, added, codes = (
+                np.concatenate([p[i] for p in plans]) if plans else _NO_KEYS for i in range(3)
+            )
+            rem_gid = np.repeat(np.arange(n_groups), [len(p[0]) for p in plans])
+            rc_gid = np.repeat(np.arange(n_groups), [len(p[2]) for p in plans])
+            rem_slots = self._untrack(removed)
+            add_slots = self._track(added)
+            rad2, indptr, _, hit_slots = self._recompute_rows(codes)
+            rc_slots = self._slot_of(codes)
+            gain, lose = self._row_changes(rc_slots, indptr, hit_slots, rem_slots)
+            changed = np.concatenate([gain, lose])
+            if n_groups == 1:
+                gid = np.zeros(len(changed), dtype=np.int64)
+            else:
+                # One end of every changed pair is a rebuilt or removed row.
+                held = np.concatenate([rc_slots, rem_slots])
+                order = np.argsort(held)
+                held, held_gid = held[order], np.concatenate([rc_gid, rem_gid])[order]
+                a, b = changed >> 32, changed & _MASK
+                gid = held_gid[np.searchsorted(held, np.where(_member(a, held), a, b))]
+            twice = self._twice(gain >> 32, gain & _MASK, rc_slots, add_slots)
+            entries = np.bincount(gid, minlength=n_groups) + np.bincount(
+                gid[: len(gain)][twice], minlength=n_groups
+            )
+            if collect_diff:
+                # Part 2g holds group g's gained pairs, part 2g + 1 its lost ones.
+                part = 2 * gid
+                part[len(gain) :] += 1
+                pairs = self._code_pairs(changed, part, 2 * n_groups)
+                bounds = np.searchsorted(rc_gid, np.arange(n_groups + 1)).tolist()
+                diffs = [
+                    {
+                        "removed": removed_codes,
+                        "added": added_codes,
+                        "codes": group_codes,
+                        "rad2": rad2[bounds[g] : bounds[g + 1]],
+                        "gained": pairs[2 * g],
+                        "lost": pairs[2 * g + 1],
+                    }
+                    for g, (removed_codes, added_codes, group_codes) in enumerate(plans)
+                ]
+            self._install(gain, lose, rem_slots)
             self._csr = None
             if _sync:
                 self._synced_version = self.inc.topology_version
             shared = time.perf_counter() - t0 - sum(own)
-            n_rows = len(all_codes)
+            n_rows = len(codes)
             out = []
-            for g, (removed_codes, added_codes, codes) in enumerate(plans):
-                part = len(codes) / n_rows if n_rows else 1.0 / len(plans)
+            for g, (removed_codes, added_codes, group_codes) in enumerate(plans):
+                share = len(group_codes) / n_rows if n_rows else 1.0 / n_groups
                 stats = ConflictRepairStats(
-                    rows_recomputed=len(codes),
-                    entries_changed=entries[g],
+                    rows_recomputed=len(group_codes),
+                    entries_changed=int(entries[g]),
                     edges_added=len(added_codes),
                     edges_removed=len(removed_codes),
-                    wall_time=own[g] + shared * part,
+                    wall_time=own[g] + shared * share,
                 )
                 out.append((stats, diffs[g]) if collect_diff else stats)
-            sp.set(rows=n_rows, entries=sum(entries))
+            sp.set(rows=n_rows, entries=int(entries.sum()))
         reg = metrics.active()
         if reg is not None:
-            reg.counter("dynamic.conflict_repairs").inc(len(items))
-            reg.counter("dynamic.conflict_rows_recomputed").inc(len(all_codes))
+            reg.counter("dynamic.conflict_repairs").inc(n_groups)
+            reg.counter("dynamic.conflict_rows_recomputed").inc(n_rows)
         return out
 
     def apply_row_diff(self, diff: dict, *, _sync: bool = True) -> ConflictRepairStats:
         """Replay an :meth:`update` ``collect_diff`` delta on a replica.
 
-        The replica must hold the exact pre-update rows (same ``_rows``,
-        ``_incident``, ``_rad2``).  Performs the identical retract /
-        register / splice sequence with the *recorded* recomputed rows
-        instead of geometry queries, so the resulting state — and the
-        returned stats, bar ``wall_time`` — match the originating
-        worker's bit for bit.
+        The one-diff call of :meth:`apply_row_diffs`.
         """
+        return self.apply_row_diffs([diff], _sync=_sync)[0]
+
+    def apply_row_diffs(self, diffs: list, *, _sync: bool = True) -> "list[ConflictRepairStats]":
+        """Replay the row diffs of independent groups in one merge.
+
+        The replica must hold the exact pre-update rows, and the diffs
+        must come from groups of one batch (they share no row).  The
+        recorded radii and entry changes replace the geometry queries,
+        so the resulting state — and the returned stats, bar
+        ``wall_time`` — match the originating process bit for bit.
+        Slots are process-local: diffs name edges by code only.
+        """
+        if not diffs:
+            return []
         t0 = time.perf_counter()
-        removed_codes = diff["removed"]
-        added_codes = diff["added"]
-        entries = self._retract(removed_codes)
-        self._register(added_codes)
-        self._rad2.update(diff["rad2"])
-        for c, new_list in diff["rows"].items():
-            entries += self._splice_row(c, set(new_list))
+        for diff in diffs:
+            self._unregister(diff["removed"])
+            self._register(diff["added"])
+        removed, added, codes, rad2, gained, lost = (
+            diffs[0][key] if len(diffs) == 1 else np.concatenate([d[key] for d in diffs])
+            for key in ("removed", "added", "codes", "rad2", "gained", "lost")
+        )
+        add_slots = self._track(added)
+        # Lost pairs still name removed edges: look every pair end up
+        # before untracking them, each distinct code once, in order.
+        ends, end_of = unique_inverse(np.concatenate([gained, lost]).ravel())
+        slots = self._slot_of(ends)[end_of]
+        rem_slots = self._untrack(removed)
+        rc_slots = self._slot_of(codes)
+        self._rad2[rc_slots] = rad2
+        a, b = slots[0::2], slots[1::2]
+        keys, mirrors = (a << 32) | b, (b << 32) | a
+        k = len(gained)
+        gain = np.sort(np.concatenate([keys[:k], mirrors[:k]]))
+        lose = np.sort(np.concatenate([keys[k:], mirrors[k:]]))
+        self._install(gain, lose, rem_slots)
+
+        twice = self._twice(a[:k], b[:k], rc_slots, add_slots)
+        n_gained = [len(d["gained"]) for d in diffs]
+        twice_per = np.bincount(np.repeat(np.arange(len(diffs)), n_gained)[twice], minlength=len(diffs))
         self._csr = None
         if _sync:
             self._synced_version = self.inc.topology_version
-        return ConflictRepairStats(
-            rows_recomputed=len(diff["rows"]),
-            entries_changed=entries,
-            edges_added=len(added_codes),
-            edges_removed=len(removed_codes),
-            wall_time=time.perf_counter() - t0,
-        )
+        wall = time.perf_counter() - t0
+        n = len(codes)
+        return [
+            ConflictRepairStats(
+                rows_recomputed=len(d["codes"]),
+                entries_changed=2 * (n_gained[g] + len(d["lost"]) + int(twice_per[g])),
+                edges_added=len(d["added"]),
+                edges_removed=len(d["removed"]),
+                wall_time=wall * (len(d["codes"]) / n if n else 1.0 / len(diffs)),
+            )
+            for g, d in enumerate(diffs)
+        ]
 
-    def _retract(self, removed_codes: "list[int]") -> int:
-        """Drop removed edges' rows and their membership in neighbors'
-        rows (symmetry gives the exact affected set for free)."""
-        rows = self._rows
+    def _row_changes(self, rc_slots, indptr, hit_slots, rem_slots) -> "tuple[np.ndarray, np.ndarray]":
+        """Directed keys, mirrors included, the repair gains and loses.
+
+        One read gets the old rows of the rebuilt and the removed edges.
+        Entries at a removed edge all go; the rebuilt rows' other old
+        keys and their new keys are each sorted once, and a key on one
+        side only changed.
+        """
+        new = np.sort((np.repeat(rc_slots, np.diff(indptr)) << 32) | hit_slots)
+        old = self._rows_of(np.sort(np.concatenate([rc_slots, rem_slots])))
+        retract = _NO_KEYS
+        if len(rem_slots):
+            rem = np.sort(rem_slots)
+            gone = _member(old >> 32, rem) | _member(old & _MASK, rem)
+            retract, old = _both_ways(old[gone]), old[~gone]
+        old = np.sort(old)
+        gain = _both_ways(new[~_member(new, old)])
+        lose = _merge_sorted(_both_ways(old[~_member(old, new)]), retract)
+        return gain, lose
+
+    def _unregister(self, codes) -> None:
+        """Drop removed edges from the node → incident-edge map."""
         incident = self._incident
-        entries = 0
-        for c in removed_codes:
-            row = rows.pop(c, None)
-            self._rad2.pop(c, None)
+        for c in np.asarray(codes).tolist():
             for nd in (c >> 32, c & _MASK):
                 s = incident.get(nd)
                 if s is not None:
                     s.discard(c)
                     if not s:
                         del incident[nd]
-            if row:
-                entries += 2 * len(row)
-                for nb in row:
-                    nb_row = rows.get(nb)
-                    if nb_row is not None:
-                        nb_row.discard(c)
-        return entries
 
-    def _register(self, added_codes: "list[int]") -> None:
+    def _register(self, codes) -> None:
         """Register added edges so row recomputes can see them."""
         incident = self._incident
-        for c in added_codes:
+        for c in np.asarray(codes).tolist():
             incident.setdefault(c >> 32, set()).add(c)
             incident.setdefault(c & _MASK, set()).add(c)
-
-    def _splice_row(self, c: int, new_row: "set[int]") -> int:
-        """Install ``new_row`` as I(c), mirroring each change into the
-        symmetric neighbor rows; returns entries changed (both sides)."""
-        rows = self._rows
-        entries = 0
-        old_row = rows.get(c, _EMPTY)
-        for nb in old_row - new_row:
-            nb_row = rows.get(nb)
-            if nb_row is not None:
-                nb_row.discard(c)
-            entries += 2
-        for nb in new_row - old_row:
-            nb_row = rows.get(nb)
-            if nb_row is not None:
-                nb_row.add(c)
-            entries += 2
-        rows[c] = new_row
-        return entries
 
     def _mark_synced(self) -> None:
         """Batch applier hook: declare the structure current again."""
         self._synced_version = self.inc.topology_version
 
-    def _recompute_rows(self, codes: "list[int]") -> "tuple[list[float], list[list[int]]]":
-        """Guard radii and rows I(c) of ``codes`` from current geometry.
+    def _recompute_rows(self, codes: np.ndarray) -> tuple:
+        """Guard radii and rows I(c) of tracked ``codes`` from current geometry.
 
         First installs every code's squared shrunk guard radius
         ``((1+Δ)·len·(1−1e-12))²`` (kernel arithmetic) into ``_rad2``,
@@ -441,13 +777,15 @@ class DynamicInterference:
         * ``d²(u, p) ≤ r²(k)`` for ``k`` incident to ``u``: *code*'s
           endpoint ``p`` lies inside ``k``'s guard zone (in-direction).
 
-        Returns the radii and the sorted rows, aligned with ``codes``.
+        Returns the radii aligned with ``codes`` and the rows as CSR:
+        row ``i`` is ``hits[indptr[i]:indptr[i + 1]]``, sorted codes,
+        whose slots are ``hit_slots`` — ``(rad2, indptr, hits, hit_slots)``.
         """
         nrows = len(codes)
         if nrows == 0:
-            return [], []
+            return np.empty(0), np.zeros(1, dtype=np.intp), _NO_KEYS, _NO_KEYS
         idx = self._index
-        arr = np.array(codes, dtype=np.int64)
+        arr = np.asarray(codes, dtype=np.int64)
         # Rows share endpoints (every row at a mover does): query each
         # endpoint node once.
         ends, end_of = unique_inverse(np.concatenate([arr >> 32, arr & _MASK]))
@@ -456,9 +794,7 @@ class DynamicInterference:
         length = np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1])
         r = interference_radius(length, self.delta) * (1.0 - 1e-12)
         own_r2 = r * r
-        rad2_list = own_r2.tolist()
-        rad2 = self._rad2
-        rad2.update(zip(codes, rad2_list))
+        self._rad2[self._slot_of(arr)] = own_r2
 
         indptr, cand = idx.query_radius_many(pos, self._r_in)
         d = idx.positions_of(cand) - pos[np.repeat(np.arange(len(ends)), np.diff(indptr))]
@@ -473,7 +809,8 @@ class DynamicInterference:
         counts = np.fromiter(map(len, inc_sets), dtype=np.intp, count=len(inc_sets))
         flat = np.fromiter(chain.from_iterable(inc_sets), dtype=np.int64, count=int(counts.sum()))
         kcodes, k_of = unique_inverse(flat)
-        k_r2 = np.fromiter(map(rad2.__getitem__, kcodes.tolist()), dtype=np.float64, count=len(kcodes))
+        kslots = self._slot_of(kcodes)
+        k_r2 = self._rad2[kslots]
         reps = counts[node_of[hit]]
         k = k_of[ragged_arange((np.cumsum(counts) - counts)[node_of[hit]], reps)]
         prow = np.repeat(prow, reps)
@@ -481,9 +818,9 @@ class DynamicInterference:
         keep = ((pd2 <= own_r2[prow]) | (pd2 <= k_r2[k])) & (kcodes[k] != arr[prow])
         # One sort of (row, edge) keys dedupes and orders every row.
         key = sorted_unique(prow[keep] * len(kcodes) + k[keep])
-        bounds = np.searchsorted(key, np.arange(nrows + 1) * len(kcodes)).tolist()
-        hits = kcodes[key % len(kcodes)].tolist()
-        return rad2_list, [hits[bounds[i] : bounds[i + 1]] for i in range(nrows)]
+        bounds = np.searchsorted(key, np.arange(nrows + 1) * len(kcodes))
+        hit = key % len(kcodes)
+        return own_r2, bounds, kcodes[hit], kslots[hit]
 
     # ------------------------------------------------------------------
     # Materialization and backstop
@@ -500,18 +837,19 @@ class DynamicInterference:
         """``|I(e)|`` aligned with ``edge_array()``, *without* CSR.
 
         The MAC hot path only needs conflict degrees for its activation
-        bounds; reading row sizes straight off the maintained sets skips
-        the O(nnz) CSR materialization (nnz is ~10⁷ at n=10⁴).
+        bounds; reading them off the per-slot degree array skips the
+        O(nnz) CSR materialization (nnz is ~10⁷ at n=10⁴).
         """
-        return self.degrees_of(self.edge_codes())
+        self._check_synced()
+        return self._deg[self._slots]
 
     def degrees_of(self, codes: np.ndarray) -> np.ndarray:
-        """``|I(e)|`` for the given packed edge codes (tracked edges only)."""
+        """``|I(e)|`` for the given packed edge codes, as one gather.
+
+        Raises ``KeyError`` for a code that is not a tracked edge.
+        """
         self._check_synced()
-        rows = self._rows
-        return np.fromiter(
-            map(len, map(rows.__getitem__, codes.tolist())), dtype=np.int64, count=len(codes)
-        )
+        return self._deg[self._slot_of(codes)]
 
     def interference_sets(self) -> InterferenceSets:
         """The maintained conflict structure as a CSR ``InterferenceSets``.
@@ -519,14 +857,21 @@ class DynamicInterference:
         Rows align with ``IncrementalTheta.edge_array()`` (sorted
         undirected global-id edges).  Materialization is cached until
         the next :meth:`update`; a topology that advanced without a
-        matching update raises instead of serving stale rows.
+        matching update raises instead of serving stale rows.  It
+        compacts the store, renumbers slots by code rank and sorts once.
         """
         self._check_synced()
         if self._csr is None:
-            rows = self._rows
-            codes = sorted(rows)
-            keys = np.fromiter(codes, dtype=np.int64, count=len(codes))
-            self._csr = InterferenceSets.from_rows(keys, [rows[c] for c in codes])
+            self._flush()
+            self._compact()
+            m = len(self._codes)
+            rank = np.zeros(len(self._slot_code), dtype=np.int64)
+            rank[self._slots] = np.arange(m, dtype=np.int64)
+            keys = (rank[self._pairs >> 32] << 32) | rank[self._pairs & _MASK]
+            keys.sort(kind="stable")  # linear when slots already follow code order
+            indptr = np.zeros(m + 1, dtype=np.intp)
+            np.cumsum(np.bincount(keys >> 32, minlength=m), out=indptr[1:])
+            self._csr = InterferenceSets(indptr, keys & _MASK)
         return self._csr
 
     def degrees(self) -> np.ndarray:

@@ -12,9 +12,8 @@ keeps the result bit-identical to the serial path by construction:
   parent *after* :meth:`DynamicGridIndex.share_buffers` moved the
   position/alive arrays into :class:`~repro.parallel.shm.ShmArena`
   segments, so every process reads one physical copy of the coordinates;
-  the pure-Python topology state (``_out``/``_in``/``_admit``/
-  ``_edge_dirs``, conflict rows) is inherited copy-on-write and kept in
-  sync by diffs.
+  the topology state (``_out``/``_in``/``_admit``/``_edge_dirs``, the
+  conflict store) is inherited copy-on-write and kept in sync by diffs.
 * **One sync per phase.**  Per batch the parent runs phase A (serial
   mutations — geometry lands in the shared arrays), builds every
   worker's message, then sends each worker one: the batch's mutation
@@ -78,7 +77,12 @@ from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
-from repro.dynamic.batching import BatchApplyStats, group_events, independence_radius
+from repro.dynamic.batching import (
+    BatchApplyStats,
+    group_events,
+    independence_radius,
+    moved_nodes,
+)
 from repro.dynamic.events import event_kind
 from repro.dynamic.interference import MacStep, edge_uniforms
 from repro.harness.runner import pool_context
@@ -105,7 +109,7 @@ def _diff_size(topo_diff: dict, row_diff: "dict | None") -> int:
     """Halo traffic of one group's diffs, in state entries."""
     n = len(topo_diff["out"]) + len(topo_diff["admit"]) + len(topo_diff["dead"])
     if row_diff is not None:
-        n += len(row_diff["rows"]) + len(row_diff["added"]) + len(row_diff["removed"])
+        n += len(row_diff["codes"]) + len(row_diff["added"]) + len(row_diff["removed"])
     return n
 
 
@@ -196,12 +200,9 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     if len(ce) == 0:
         return empty
     codes = (ce[:, 0] << 32) | ce[:, 1]
-    rows = di._rows
-    # Direct row lookups (KeyError = stale replica = a filtering bug —
-    # fail loudly rather than activate with a wrong probability).
-    deg = np.fromiter(
-        (len(rows[int(c)]) for c in codes), dtype=np.int64, count=len(codes)
-    )
+    # KeyError = stale replica = a filtering bug: fail loudly rather
+    # than activate with a wrong probability.
+    deg = di.degrees_of(codes)
     probs = 1.0 / (2.0 * np.maximum(deg.astype(np.float64), 1.0))
     act = edge_uniforms(codes, seed, step) < probs
     ae = ce[act]
@@ -225,7 +226,11 @@ def _worker_main(wid: int, conn) -> None:
     ``/proc``), the batch counter, the last span reached — and, when
     the parent traced at fork time, the span events recorded since the
     previous reply, which the parent ``Tracer.ingest``-merges so one
-    Chrome trace shows a track per worker.
+    Chrome trace shows a track per worker.  Reading ``/proc`` costs
+    about half a millisecond, so an ``ok`` reply goes out first and the
+    resource sample taken after it rides the *next* reply: its RSS and
+    CPU figures lag one reply, while ``batch`` and ``last_span`` are
+    current.  ``hello`` and ``error`` sample on the spot.
     """
     # Freeze the fork-inherited heap out of the cyclic GC: a gen-2
     # collection relinks every tracked object's GC header, which would
@@ -242,14 +247,43 @@ def _worker_main(wid: int, conn) -> None:
     sampler = telemetry.ResourceSampler()
     batch_no = 0
     last_span = "start"
+    sample: dict = {}
 
-    def _tele() -> dict:
-        nonlocal mark
-        tele = sampler.sample(worker=wid, batch=batch_no, last_span=last_span)
+    def _tele(fresh: bool = True) -> dict:
+        nonlocal mark, sample
+        if fresh:
+            sample = sampler.sample()
+        tele = dict(sample, worker=wid, batch=batch_no, last_span=last_span)
         events, mark = telemetry.drain_events(tracer, mark)
         if events:
             tele["events"] = events
         return tele
+
+    def _reply(payload) -> None:
+        # Idle-time work after the reply: the resource sample and the
+        # conflict-store merge of this batch's changes.
+        nonlocal sample
+        conn.send(("ok", payload, _tele(fresh=False)))
+        sample = sampler.sample()
+        if di is not None:
+            di._flush()
+
+    def _replay(foreign) -> None:
+        # Seq order; the row diffs of one batch's groups share no row,
+        # so each run of them goes in one merge.
+        run: list = []
+        run_batch = None
+        for tdiff, (batch, rdiff) in foreign:
+            inc.apply_repair_diff(tdiff)
+            if rdiff is None:
+                continue
+            if run and batch != run_batch:
+                di.apply_row_diffs(run, _sync=False)
+                run = []
+            run.append(rdiff)
+            run_batch = batch
+        if run:
+            di.apply_row_diffs(run, _sync=False)
 
     try:
         conn.send(("hello", _tele()))
@@ -268,13 +302,10 @@ def _worker_main(wid: int, conn) -> None:
                 _, foreign, seed, step = msg
                 with trace.span("pool.mac", worker=wid, step=step, diffs=len(foreign)):
                     last_span = "pool.mac"
-                    for tdiff, rdiff in foreign:
-                        inc.apply_repair_diff(tdiff)
-                        if rdiff is not None:
-                            di.apply_row_diff(rdiff, _sync=False)
+                    _replay(foreign)
                     payload = _mac_tile_step(inc, di, grid, wid, workers, seed, step)
                 last_span = "idle"
-                conn.send(("ok", payload, _tele()))
+                _reply(payload)
             except Exception:
                 try:
                     conn.send(("error", traceback.format_exc(), _tele()))
@@ -291,10 +322,7 @@ def _worker_main(wid: int, conn) -> None:
                 with trace.span(
                     "pool.replay", worker=wid, diffs=len(foreign), records=len(records)
                 ):
-                    for tdiff, rdiff in foreign:
-                        inc.apply_repair_diff(tdiff)
-                        if di is not None and rdiff is not None:
-                            di.apply_row_diff(rdiff, _sync=False)
+                    _replay(foreign)
                     for op, kind, node, old_key, new_key in records:
                         if kind == "fail":
                             inc._failed.add(node)
@@ -337,7 +365,7 @@ def _worker_main(wid: int, conn) -> None:
                 if di is not None:
                     di._mark_synced()
             last_span = "idle"
-            conn.send(("ok", out, _tele()))
+            _reply(out)
         except Exception:
             try:
                 conn.send(("error", traceback.format_exc(), _tele()))
@@ -562,13 +590,7 @@ class TileWorkerPool:
             ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
             if not ctxs:
                 continue
-            moved = [
-                int(events[i].node)
-                for i in idxs
-                if contexts[i] is not None
-                and contexts[i][0] == "move"
-                and index.is_alive(int(events[i].node))
-            ]
+            moved = moved_nodes(inc, events, idxs)
             anchors = np.asarray(
                 [a for c in ctxs for a in c[2]], dtype=np.float64
             ).reshape(-1, 2)
@@ -589,6 +611,9 @@ class TileWorkerPool:
             )
         for wid in range(self.workers):
             self._send(wid, ("batch", foreign[wid], records, assigned[wid]))
+        if di is not None:
+            # Merge the previous batch's row changes while the workers repair.
+            di._flush()
         diffs_replayed = sum(len(f) for f in foreign)
         diff_bytes = 0
         if trace.is_enabled():
@@ -597,12 +622,13 @@ class TileWorkerPool:
 
         # Splice each reply into the parent replica as it arrives, while
         # the other workers still repair (groups touch disjoint state —
-        # any splice order yields the same state).
+        # any splice order yields the same state).  The groups of one
+        # reply share no row, so their row diffs go in one merge.
         def splice(reply) -> None:
-            for _, _, tdiff, _, rdiff in reply:
+            for _, _, tdiff, _, _ in reply:
                 inc.apply_repair_diff(tdiff)
-                if di is not None and rdiff is not None:
-                    di.apply_row_diff(rdiff, _sync=False)
+            if di is not None and reply:
+                di.apply_row_diffs([o[4] for o in reply], _sync=False)
 
         replies = self._recv_all(splice)
 
@@ -615,6 +641,7 @@ class TileWorkerPool:
             for gid, rs, tdiff, cs, rdiff in reply:
                 results.append((gid, wid, rs, tdiff, cs, rdiff))
         results.sort(key=lambda r: r[0])
+        batch_tag = self._seq
         repairs = []
         conflict_repairs = []
         halo = 0
@@ -624,7 +651,7 @@ class TileWorkerPool:
             if cs is not None:
                 conflict_repairs.append(cs)
             halo += _diff_size(tdiff, rdiff)
-            diffs_suppressed += self._route_diff(wid, group_anchors[gid], tdiff, rdiff)
+            diffs_suppressed += self._route_diff(wid, group_anchors[gid], tdiff, (batch_tag, rdiff))
 
         inc.topology_version += 1
         if di is not None:
@@ -689,7 +716,11 @@ class TileWorkerPool:
         return set((np.flatnonzero(hit) % self.workers).tolist())
 
     def _route_diff(self, src_wid: int, anchors, tdiff, rdiff) -> int:
-        """Stage one group diff for every other worker; returns deferrals."""
+        """Stage one group diff for every other worker; returns deferrals.
+
+        ``rdiff`` travels as ``(batch, row_diff)``: the first seq of the
+        diff's batch, so a worker can merge one batch's row diffs at once.
+        """
         entry = (self._seq, anchors, tdiff, rdiff, _cell_keys(anchors, self._cell))
         self._seq += 1
         subscribed = self._subscribers(anchors) if self.halo_filter else range(self.workers)

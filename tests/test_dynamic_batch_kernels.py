@@ -9,8 +9,9 @@ churn them with mixed join, leave, fail, recover and move events
 (including moves of failed nodes and joins with no neighbour), group
 the events with :func:`group_events`, and run the batch-wide kernels on
 one state and one-group calls (:meth:`IncrementalTheta._repair_batch`,
-:meth:`DynamicInterference.update`) on a twin state.  Diffs are compared
-as ``list(d.items())``, so their insertion (replay) order counts too.
+:meth:`DynamicInterference.update`) on a twin state.  Topology diffs are
+compared as ``list(d.items())``, so their insertion (replay) order
+counts too; row diffs are sorted arrays and compared exactly.
 """
 
 import math
@@ -31,7 +32,7 @@ from repro import (
     Recover,
     group_events,
 )
-from repro.dynamic.batching import independence_radius
+from repro.dynamic.batching import independence_radius, moved_nodes
 from repro.obs import metrics
 
 D = 1.0
@@ -60,15 +61,7 @@ def _prepare(inc, events, idx_groups):
         ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
         if ctxs:
             groups.append(ctxs)
-            moved.append(
-                [
-                    int(events[i].node)
-                    for i in idxs
-                    if contexts[i] is not None
-                    and contexts[i][0] == "move"
-                    and inc._index.is_alive(int(events[i].node))
-                ]
-            )
+            moved.append(moved_nodes(inc, events, idxs))
     return groups, moved
 
 
@@ -104,10 +97,10 @@ def _run_batch(batch_twin, lone_twin, events):
         for key in ("out", "admit"):
             assert list(btdiff[key].items()) == list(tdiff[key].items())
         assert btdiff["dead"] == tdiff["dead"]
-        for key in ("removed", "added"):
-            assert brdiff[key] == rdiff[key]
-        for key in ("rad2", "rows"):
-            assert list(brdiff[key].items()) == list(rdiff[key].items())
+        assert brdiff.keys() == rdiff.keys()
+        for key in brdiff:
+            assert brdiff[key].dtype == rdiff[key].dtype
+            assert np.array_equal(brdiff[key], rdiff[key])
     walls = [cs.wall_time for cs, _ in conflicts]
     assert all(w >= 0.0 for w in walls)
     assert sum(walls) <= wall + 1e-6
@@ -225,6 +218,34 @@ def test_isolated_join_touches_only_itself():
     assert rs.edges_added == rs.edges_removed == ()
     assert diff == {"out": {}, "admit": {}, "dead": []}
     assert conflicts[1][0].rows_recomputed == 0
+
+
+def test_failed_node_moved_and_recovered_in_one_batch():
+    # Node 8 fails, moves while failed and recovers: edges it keeps are
+    # in the net diff neither as added nor as removed, but their guard
+    # zones moved, so its rows must be rebuilt.
+    pts = np.array(
+        [
+            [-0.69063986, -0.5553093],
+            [-1.45041709, 1.76158084],
+            [1.23826673, 1.14167745],
+            [0.68848968, 0.9526451],
+            [1.30521727, 1.76933079],
+            [-1.4917845, 1.89398295],
+            [-1.39924327, 1.51073646],
+            [-0.97303314, 1.91130689],
+            [0.12438366, 0.2209058],
+            [-0.23193834, -0.59327086],
+        ]
+    )
+    batch_twin, lone_twin = _twins(pts, 0.0)
+    events = [
+        NodeJoin(10, -1.127150170501308, 1.333643368009617),
+        FailStop(8),
+        NodeMove(8, 0.44156853472275026, 1.1679254583724874),
+        Recover(8),
+    ]
+    _run_batch(batch_twin, lone_twin, events)
 
 
 def test_conflict_counter_counts_groups():

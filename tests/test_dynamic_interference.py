@@ -55,7 +55,7 @@ class TestFromRows:
         pts, d0, inc, di = _pair(50, 3)
         ref = interference_sets(inc.snapshot_graph(), DELTA)
         keys = di.edge_codes()
-        rebuilt = InterferenceSets.from_rows(keys, [di._rows[c] for c in keys.tolist()])
+        rebuilt = InterferenceSets.from_rows(keys, di.conflict_rows(keys))
         assert rebuilt == ref
 
     def test_empty(self):

@@ -69,6 +69,14 @@ def worlds(draw):
     return inc, dyn
 
 
+def _rows_as_lists(dyn, codes):
+    """``_recompute_rows`` output as (radii, rows) lists."""
+    r2, indptr, hits, hit_slots = dyn._recompute_rows(np.array(codes, dtype=np.int64))
+    assert np.array_equal(hit_slots, dyn._slot_of(hits))
+    bounds = indptr.tolist()
+    return r2.tolist(), [hits[bounds[i] : bounds[i + 1]].tolist() for i in range(len(codes))]
+
+
 def _subset(data, items):
     return sorted(data.draw(st.lists(st.sampled_from(items), unique=True)) if items else [])
 
@@ -87,13 +95,13 @@ def test_batched_kernels_match_per_node_oracles(world, data):
     assert inc._admissions_many(receivers) == want
     # Conflict rows over tracked edges: the reference reads the radii the
     # kernel installed, and both must equal the maintained rows.
-    codes = _subset(data, sorted(dyn._rows))
+    codes = _subset(data, dyn.edge_codes().tolist())
     want_r2 = [edge_rad2_reference(dyn, c) for c in codes]
-    r2, rows = dyn._recompute_rows(codes)
+    r2, rows = _rows_as_lists(dyn, codes)
     assert r2 == want_r2
-    assert [dyn._rad2[c] for c in codes] == want_r2
+    assert dyn._rad2_of(codes).tolist() == want_r2
     assert rows == [sorted(conflict_row_reference(dyn, c)) for c in codes]
-    assert rows == [sorted(dyn._rows[c]) for c in codes]
+    assert rows == [row.tolist() for row in dyn.conflict_rows(codes)]
 
 
 def test_full_world_every_node_at_once():
@@ -110,8 +118,8 @@ def test_full_world_every_node_at_once():
         x: a for x in ids if (a := admissions_reference(inc, x))
     }
     assert inc._admissions_many(ids) == inc._admit
-    codes = sorted(dyn._rows)
-    _, rows = dyn._recompute_rows(codes)
+    codes = dyn.edge_codes().tolist()
+    _, rows = _rows_as_lists(dyn, codes)
     assert rows == [sorted(conflict_row_reference(dyn, c)) for c in codes]
 
 
@@ -120,4 +128,4 @@ def test_empty_sets():
     dyn = DynamicInterference(inc, 1.0)
     assert inc._yao_choices_many([]) == {}
     assert inc._admissions_many([]) == {}
-    assert dyn._recompute_rows([]) == ([], [])
+    assert _rows_as_lists(dyn, []) == ([], [])
