@@ -30,7 +30,6 @@ __all__ = [
     "balancing_decide_reference",
     "conflict_row_reference",
     "edge_rad2_reference",
-    "halo_catchup_reference",
     "interference_sets_reference",
     "max_edge_stretch_reference",
     "theta_edges_reference",
@@ -235,51 +234,6 @@ def balancing_decide_reference(
             Transmission(src=v, dst=w, dest=int(destinations[col]), cost=float(costs[k]))
         )
     return out
-
-
-def _anchors_near(a: np.ndarray, b: np.ndarray, r: float) -> bool:
-    """Whether any point of ``a`` is within ``r`` of a point of ``b``."""
-    for p in a:
-        for q in b:
-            dx = float(p[0]) - float(q[0])
-            dy = float(p[1]) - float(q[1])
-            if dx * dx + dy * dy <= r * r:
-                return True
-    return False
-
-
-def halo_catchup_reference(
-    backlog: list,
-    pending: list,
-    need_anchors: "np.ndarray | None",
-    radius: float,
-) -> "tuple[list, list]":
-    """Linear-scan catch-up selection of ``TileWorkerPool._drain``.
-
-    Entries are tuples whose first two fields are ``(seq, anchors)``;
-    ``backlog`` is ordered by ``seq``.  Seeds are the backlog entries
-    within ``radius`` of ``need_anchors``; one descending pass then adds
-    every backlog entry within ``radius`` of a pending entry, a seed, or
-    a later entry already added.  Returns ``(delivered, kept)``: the
-    selected entries plus ``pending`` in ``seq`` order, and the rest of
-    the backlog.  (The ``max_backlog`` flush is not part of it.)
-    """
-    n = len(backlog)
-    need = [False] * n
-    if need_anchors is not None and len(need_anchors):
-        for i, entry in enumerate(backlog):
-            need[i] = _anchors_near(entry[1], need_anchors, radius)
-    sel_anchors = [e[1] for e in pending] + [backlog[i][1] for i in range(n) if need[i]]
-    for i in range(n - 1, -1, -1):
-        if need[i]:
-            continue
-        anch = backlog[i][1]
-        if any(_anchors_near(anch, s, radius) for s in sel_anchors):
-            need[i] = True
-            sel_anchors.append(anch)
-    selected = [backlog[i] for i in range(n) if need[i]]
-    kept = [backlog[i] for i in range(n) if not need[i]]
-    return sorted(selected + list(pending), key=lambda e: e[0]), kept
 
 
 def yao_choices_reference(inc, u: int) -> "dict[int, int]":

@@ -209,8 +209,9 @@ class BatchApplyStats:
     jobs: int = 1
     #: State entries exchanged across process boundaries (0 off-process).
     halo_nodes: int = 0
-    #: Foreign diffs actually shipped to workers this batch (process
-    #: backend; eager subscriptions + lazy catch-up + closure).
+    #: Foreign traffic shipped to workers this batch (process backend):
+    #: eager diffs plus the entries (nodes + edges) of refreshed stale
+    #: regions.
     diffs_replayed: int = 0
     #: (diff, worker) deliveries withheld by the halo-subscription
     #: filter this batch (0 when ``halo_filter=False`` — full broadcast).

@@ -611,6 +611,62 @@ class IncrementalTheta:
         for nd in diff["dead"]:
             self._in.pop(int(nd), None)
 
+    def region_state(self, nodes: "list[int]") -> dict:
+        """The ΘALG state at ``nodes``, for :meth:`set_region_state` on a replica.
+
+        Their Yao choices, in-sets and admissions (a node without one is
+        absent), and the sorted ``codes`` of every edge at them with the
+        edges' direction counts ``dirs``.  Reads only; the dicts are the
+        live ones, so a caller in this process must not mutate them.
+        """
+        codes = self._edges_at(nodes)
+        return {
+            "nodes": list(nodes),
+            "out": {u: self._out[u] for u in nodes if u in self._out},
+            "in": {u: self._in[u] for u in nodes if u in self._in},
+            "admit": {u: self._admit[u] for u in nodes if u in self._admit},
+            "codes": codes,
+            "dirs": np.array([self._edge_dirs[c] for c in codes.tolist()], dtype=np.int64),
+        }
+
+    def set_region_state(self, state: dict) -> None:
+        """Overwrite the keys a :meth:`region_state` covers with its values.
+
+        Set semantics: each listed node's choices, in-set and admissions
+        become the recorded ones (or go, when absent there), and the
+        edges at those nodes become exactly the recorded edges with
+        their direction counts.  No derived edit follows — the ``_in``
+        of a former target or the count of an edge elsewhere stays as it
+        is — so the keys written equal the source's, and no other key
+        moves.  Does not bump ``topology_version``.
+        """
+        nodes = state["nodes"]
+        for table, new, copy in (
+            (self._out, state["out"], dict),
+            (self._in, state["in"], set),
+            (self._admit, state["admit"], dict),
+        ):
+            for u in nodes:
+                value = new.get(u)
+                if value is None:
+                    table.pop(u, None)
+                else:
+                    table[u] = copy(value)
+        codes = state["codes"]
+        dirs = self._edge_dirs
+        mine = self._edges_at(nodes)
+        for c in mine[~np.isin(mine, codes)].tolist():
+            del dirs[c]
+        dirs.update(zip(codes.tolist(), state["dirs"].tolist()))
+
+    def _edges_at(self, nodes: "list[int]") -> np.ndarray:
+        """Sorted codes of the edges with an endpoint in ``nodes`` (one scan)."""
+        codes = np.fromiter(self._edge_dirs, dtype=np.int64, count=len(self._edge_dirs))
+        ids = np.asarray(nodes, dtype=np.int64)
+        codes = codes[np.isin(codes >> 32, ids) | np.isin(codes & _MASK, ids)]
+        codes.sort()
+        return codes
+
     def _touched_radii(
         self,
         touched: np.ndarray,
@@ -926,7 +982,9 @@ class DynamicTopology:
         """Apply the events scheduled for step ``t``."""
         churn = StepChurn()
         evs = list(self.events.at(t))
-        if self.parallel and len(evs) > 1:
+        # Every non-empty step takes the parallel path when it is on: a
+        # process pool's workers must see each step's records and diffs.
+        if self.parallel and evs:
             from repro.dynamic.batching import apply_events_parallel
 
             pool = self._process_pool() if self.backend == "process" else None

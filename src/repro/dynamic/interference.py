@@ -600,7 +600,8 @@ class DynamicInterference:
             add_slots = self._track(added)
             rad2, indptr, _, hit_slots = self._recompute_rows(codes)
             rc_slots = self._slot_of(codes)
-            gain, lose = self._row_changes(rc_slots, indptr, hit_slots, rem_slots)
+            new = np.sort((np.repeat(rc_slots, np.diff(indptr)) << 32) | hit_slots)
+            gain, lose = self._row_changes(rc_slots, new, rem_slots)
             changed = np.concatenate([gain, lose])
             if n_groups == 1:
                 gid = np.zeros(len(changed), dtype=np.int64)
@@ -717,15 +718,14 @@ class DynamicInterference:
             for g, d in enumerate(diffs)
         ]
 
-    def _row_changes(self, rc_slots, indptr, hit_slots, rem_slots) -> "tuple[np.ndarray, np.ndarray]":
-        """Directed keys, mirrors included, the repair gains and loses.
+    def _row_changes(self, rc_slots, new, rem_slots) -> "tuple[np.ndarray, np.ndarray]":
+        """Directed keys, mirrors included, that rewriting rows gains and loses.
 
-        One read gets the old rows of the rebuilt and the removed edges.
-        Entries at a removed edge all go; the rebuilt rows' other old
-        keys and their new keys are each sorted once, and a key on one
-        side only changed.
+        ``new`` holds the sorted directed keys of the rows of the
+        distinct ``rc_slots``.  One read gets the old rows of those and
+        of the removed edges' ``rem_slots``.  Entries at a removed edge
+        all go; a rewritten row's key on one side only changed.
         """
-        new = np.sort((np.repeat(rc_slots, np.diff(indptr)) << 32) | hit_slots)
         old = self._rows_of(np.sort(np.concatenate([rc_slots, rem_slots])))
         retract = _NO_KEYS
         if len(rem_slots):
@@ -736,6 +736,58 @@ class DynamicInterference:
         gain = _both_ways(new[~_member(new, old)])
         lose = _merge_sorted(_both_ways(old[~_member(old, new)]), retract)
         return gain, lose
+
+    def region_rows(self, codes: np.ndarray) -> dict:
+        """The rows of the sorted tracked edge ``codes``, for :meth:`set_region_rows`.
+
+        ``pairs`` holds one ``(code, member)`` row per entry of each
+        row; ``partners`` are the members outside ``codes``, sorted,
+        each with its radius in ``partner_rad2``.
+        """
+        slots = self._slot_of(codes)
+        keys = self._rows_of(np.sort(slots))
+        pairs = np.column_stack([self._slot_code[keys >> 32], self._slot_code[keys & _MASK]])
+        partners = sorted_unique(pairs[:, 1][~_member(pairs[:, 1], codes)])
+        return {
+            "codes": codes,
+            "rad2": self._rad2[slots],
+            "pairs": pairs,
+            "partners": partners,
+            "partner_rad2": self._rad2_of(partners),
+        }
+
+    def set_region_rows(self, nodes, state: dict) -> None:
+        """Make the edges at ``nodes`` and their rows those of :meth:`region_rows`.
+
+        Set semantics: the tracked edges at ``nodes`` become exactly
+        ``state["codes"]`` — edges the source lacks are dropped with
+        every entry of their rows — and each of their rows becomes the
+        recorded one.  Every changed entry is written on both sides (the
+        relation is symmetric), so the row of an edge elsewhere changes
+        only in its entries with these edges.  A partner this replica
+        does not track yet is tracked with the recorded radius and a row
+        of just those entries.  Degrees follow the entries; nothing is
+        recomputed from geometry.
+        """
+        codes, partners = state["codes"], state["partners"]
+        mine = np.fromiter(
+            chain.from_iterable(self._incident.get(u, _EMPTY) for u in nodes), dtype=np.int64
+        )
+        drop = sorted_unique(mine[~_member(mine, codes)])
+        known = np.concatenate([codes, partners])
+        add = np.sort(known[~_member(known, self._codes)])
+        self._unregister(drop)
+        self._register(add)
+        rem_slots = self._untrack(drop)
+        self._track(add)
+        slots = self._slot_of(codes)
+        self._rad2[slots] = state["rad2"]
+        self._rad2[self._slot_of(partners)] = state["partner_rad2"]
+        pairs = state["pairs"]
+        new = np.sort((self._slot_of(pairs[:, 0]) << 32) | self._slot_of(pairs[:, 1]))
+        gain, lose = self._row_changes(slots, new, rem_slots)
+        self._install(gain, lose, rem_slots)
+        self._csr = None
 
     def _unregister(self, codes) -> None:
         """Drop removed edges from the node → incident-edge map."""

@@ -397,11 +397,13 @@ def _worker_rows(snapshot: dict) -> "list[dict]":
             ),
         }
         # Halo-subscription traffic gauges (tiled worker pools only):
-        # diffs delivered to this worker vs. deliveries the filter
-        # withheld, and the shared-memory footprint it maps.
+        # diffs and refreshed region entries delivered to this worker
+        # vs. deliveries the filter withheld, the grid cells its
+        # replica holds stale, and the shared-memory footprint it maps.
         if "diffs_in" in w or "diffs_suppressed" in w:
             row["diffs_in"] = int(w.get("diffs_in", 0))
             row["diffs_suppressed"] = int(w.get("diffs_suppressed", 0))
+            row["stale_cells"] = int(w.get("stale_cells", 0))
         if "shm_bytes" in w:
             row["shm"] = _mb(w["shm_bytes"])
         rows.append(row)

@@ -19,39 +19,47 @@ keeps the result bit-identical to the serial path by construction:
   worker's message, then sends each worker one: the batch's mutation
   records (private bucket bookkeeping), the repair contexts of the
   groups *assigned* to it (routed by the tile of their first anchor),
-  and the **foreign diffs** of the previous batch (the groups other
-  workers repaired).  Workers replay foreign diffs, replay the records,
-  repair their groups with ``collect_diff=True``, and reply with
-  compact state diffs — the halo exchange is double-buffered: batch
-  *k*'s diffs travel inside batch *k+1*'s message, so there is exactly
-  one send and one receive per worker per batch.  The parent splices
-  each reply into its replica as it arrives, while the other workers
-  still repair.
+  and the **foreign payload** of the previous batch (what the groups
+  other workers repaired changed).  Workers apply the payload
+  (:func:`apply_foreign`), replay the records, repair their groups with
+  ``collect_diff=True``, and reply with compact state diffs — the halo
+  exchange is double-buffered: batch *k*'s changes travel inside batch
+  *k+1*'s message, so there is exactly one send and one receive per
+  worker per batch.  The parent splices each reply into its replica as
+  it arrives, while the other workers still repair; the parent replica
+  applies every diff and stays globally exact.
 * **Halo subscriptions.**  With ``halo_filter=True`` (default) a diff is
   shipped to a worker *eagerly* only when one of its group's anchors
   falls within the worker's territory — its owned tiles expanded by the
   subscription radius (9+3Δ)D, which covers both future group repairs
   and the pool-side MAC read region (see :meth:`TileWorkerPool.mac_step`).
-  Everything else parks in a per-worker backlog, ordered by ``seq`` and
-  indexed by grid cells as wide as the catch-up radius, and is *caught
-  up* lazily: at send time any backlog diff whose anchors come within
-  the 2(4+Δ)D independence radius of the batch's assigned-group anchors
-  is delivered, together with the backlog diffs whose regions overlap a
-  delivered one — a delivered diff needs every **earlier** overlapping
-  diff, since replay order between overlapping diffs must match splice
-  order.  The candidates come from the 3×3 cell neighbourhoods of the
-  anchors, so catch-up costs O(entries near the batch), not
-  O(backlog).  A replica is therefore exact wherever it is about to
-  read, while fully disjoint regions never cross the pipe; the parent
-  replica still applies every diff and remains globally exact.  The
-  backlog is capped (``max_backlog``) by a flush-everything delivery:
-  the batch that flushes replays the whole backlog, a step-time spike
-  every few hundred batches on a workload whose regions never meet.
+  Every other diff is withheld, and the worker keeps no history of it:
+  the grid cells within (4+Δ)D of the diff's anchors — where all the
+  state it changed lies — become **stale** for that worker.  ΘALG and
+  conflict-row state in a region depends only on the current positions
+  around it, not on the events that led there, so a stale region is
+  brought up to date by copying the parent's *current* state of it.  At
+  send time the parent picks every stale cell within the 2(4+Δ)D
+  independence radius of the batch's assigned-group anchors, plus every
+  cell of an eager diff whose region touches a stale cell (that diff
+  would replay onto stale state, so it is not shipped and its cells are
+  refreshed instead), and ships the region state of the nodes located
+  there.  The worker replays the eager diffs first and overwrites the
+  regions after, so one pass suffices: an overlap of a replayed diff
+  and a refreshed region ends at the parent's value either way.
+  Invariant: every key of a worker outside its stale cells equals the
+  parent's, and no batch or MAC step reads a stale key.  Fully disjoint
+  regions never cross the pipe, and the stale set is bounded by the
+  area churn ever touched, so catch-up work never builds up.
 * **Exact replay.**  Diffs replay the repairer's transition sequence
   verbatim (:meth:`IncrementalTheta.apply_repair_diff`,
-  :meth:`DynamicInterference.apply_row_diff`), so parent and every
-  worker hold bit-identical state after each batch — checked per batch
-  in ``tests/test_parallel_tiles.py`` against serial application.
+  :meth:`DynamicInterference.apply_row_diffs`), and region state is
+  written with set semantics
+  (:meth:`IncrementalTheta.set_region_state`,
+  :meth:`DynamicInterference.set_region_rows`), so the parent and every
+  worker agree on every key a worker reads — checked per batch in
+  ``tests/test_parallel_tiles.py`` against serial application, and key
+  by key in ``tests/test_parallel_catchup.py``.
 
 Group independence (the 2(4+Δ)D union–find radius of
 :func:`repro.dynamic.batching.group_events`) guarantees concurrent
@@ -113,61 +121,80 @@ def _diff_size(topo_diff: dict, row_diff: "dict | None") -> int:
     return n
 
 
-def _cell_keys(anchors: np.ndarray, side: float) -> tuple:
-    """The distinct grid cells (of side ``side``) holding ``anchors``."""
-    if len(anchors) == 0:
-        return ()
-    ij = np.floor(anchors / side).astype(np.int64).tolist()
-    return tuple(dict.fromkeys(map(tuple, ij)))
+def _region_size(region: "dict | None") -> int:
+    """Halo traffic of one refreshed region, in state entries (nodes + edges)."""
+    if region is None:
+        return 0
+    theta = region["theta"]
+    return len(theta["nodes"]) + len(theta["codes"])
 
 
-class _Backlog:
-    """One worker's withheld diffs, in ``seq`` order, indexed by grid cell.
+def _cells_near(points: np.ndarray, r: float, side: float) -> "set[tuple[int, int]]":
+    """Grid cells (of side ``side``) meeting the squares of half-width ``r``
+    around ``points`` — every cell within ``r`` of one of them."""
+    if len(points) == 0:
+        return set()
+    lo = np.floor((points - r) / side).astype(np.int64).tolist()
+    hi = np.floor((points + r) / side).astype(np.int64).tolist()
+    return {
+        (i, j)
+        for (x0, y0), (x1, y1) in zip(lo, hi)
+        for i in range(x0, x1 + 1)
+        for j in range(y0, y1 + 1)
+    }
 
-    Entries are ``(seq, anchors, tdiff, rdiff, cells)``; ``cells`` are
-    the :func:`_cell_keys` of the anchors.  Cells are slightly wider
-    than the catch-up radius, so every entry with an anchor within the
-    radius of a point sits in that point's 3×3 cell neighbourhood.
+
+def _cell_of(p, side: float) -> "tuple[int, int]":
+    """The grid cell (of side ``side``) holding point ``p``."""
+    return int(np.floor(p[0] / side)), int(np.floor(p[1] / side))
+
+
+def apply_foreign(inc, di, foreign) -> None:
+    """Bring a replica up to date with a foreign payload from :meth:`TileWorkerPool._drain`.
+
+    ``foreign`` is ``(eager, region)``.  The eager diffs — groups of
+    one batch, which share no row — replay first, their row diffs in one
+    merge.  The refreshed ``region`` (or ``None``) is written after,
+    with set semantics, so it ends at the parent's state whatever the
+    replay did there.
     """
+    eager, region = foreign
+    for tdiff, _ in eager:
+        inc.apply_repair_diff(tdiff)
+    if di is not None and eager:
+        di.apply_row_diffs([rdiff for _, rdiff in eager], _sync=False)
+    if region is not None:
+        inc.set_region_state(region["theta"])
+        if di is not None:
+            di.set_region_rows(region["theta"]["nodes"], region["rows"])
 
-    def __init__(self) -> None:
-        self.entries: "dict[int, tuple]" = {}
-        self._cells: "dict[tuple[int, int], dict[int, None]]" = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
+def repair_assigned(inc, di, assigned) -> list:
+    """Repair a worker's assigned groups and return its batch reply.
 
-    def add(self, entry: tuple) -> None:
-        seq = entry[0]
-        self.entries[seq] = entry
-        for c in entry[4]:
-            self._cells.setdefault(c, {})[seq] = None
-
-    def pop(self, seq: int) -> tuple:
-        entry = self.entries.pop(seq)
-        for c in entry[4]:
-            bucket = self._cells[c]
-            del bucket[seq]
-            if not bucket:
-                del self._cells[c]
-        return entry
-
-    def take_all(self) -> list:
-        out = list(self.entries.values())
-        self.entries.clear()
-        self._cells.clear()
-        return out
-
-    def around(self, cells) -> "list[int]":
-        """Seqs of the entries with an anchor in the 3×3 neighbourhoods of ``cells``."""
-        found: "dict[int, None]" = {}
-        for cx, cy in cells:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    bucket = self._cells.get((cx + dx, cy + dy))
-                    if bucket:
-                        found.update(bucket)
-        return list(found)
+    One call of each kernel for every ``(gid, contexts, moved)`` group;
+    the reply stays per group, as ``(gid, stats, tdiff, conflict_stats,
+    row_diff)``.  Ends the batch on the replica (version bump, rows
+    declared synced).
+    """
+    repaired = inc._repair_groups([ctxs for _, ctxs, _ in assigned], collect_diff=True)
+    conflicts = [(None, None)] * len(assigned)
+    if di is not None:
+        conflicts = di.update_groups(
+            [
+                (rs.edges_added, rs.edges_removed, moved)
+                for (rs, _), (_, _, moved) in zip(repaired, assigned)
+            ],
+            _sync=False,
+            collect_diff=True,
+        )
+    inc.topology_version += 1
+    if di is not None:
+        di._mark_synced()
+    return [
+        (gid, rs, tdiff, cs, rdiff)
+        for (gid, _, _), (rs, tdiff), (cs, rdiff) in zip(assigned, repaired, conflicts)
+    ]
 
 
 def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
@@ -196,7 +223,12 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     for t in range(wid, grid.n_tiles, workers):
         cand |= grid.halo_mask(p0, t, reach)
         cand |= grid.halo_mask(p1, t, reach)
+    # A replica that missed a death keeps the dead node's edges in its
+    # stale cells, and a dead node may move out of them: only edges
+    # between live nodes (all the parent has) are candidates.
+    index = inc._index
     ce = edges[cand]
+    ce = ce[index.alive_mask(ce[:, 0]) & index.alive_mask(ce[:, 1])]
     if len(ce) == 0:
         return empty
     codes = (ce[:, 0] << 32) | ce[:, 1]
@@ -218,7 +250,7 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
 
 
 def _worker_main(wid: int, conn) -> None:
-    """Worker loop: apply foreign diffs, replay records, repair groups.
+    """Worker loop: apply the foreign payload, replay records, repair groups.
 
     Telemetry rides the existing reply channel: every message back to
     the parent (the startup ``hello``, each batch's ``ok``, the
@@ -268,23 +300,6 @@ def _worker_main(wid: int, conn) -> None:
         if di is not None:
             di._flush()
 
-    def _replay(foreign) -> None:
-        # Seq order; the row diffs of one batch's groups share no row,
-        # so each run of them goes in one merge.
-        run: list = []
-        run_batch = None
-        for tdiff, (batch, rdiff) in foreign:
-            inc.apply_repair_diff(tdiff)
-            if rdiff is None:
-                continue
-            if run and batch != run_batch:
-                di.apply_row_diffs(run, _sync=False)
-                run = []
-            run.append(rdiff)
-            run_batch = batch
-        if run:
-            di.apply_row_diffs(run, _sync=False)
-
     try:
         conn.send(("hello", _tele()))
     except (BrokenPipeError, OSError):
@@ -300,9 +315,9 @@ def _worker_main(wid: int, conn) -> None:
         if msg[0] == "mac":
             try:
                 _, foreign, seed, step = msg
-                with trace.span("pool.mac", worker=wid, step=step, diffs=len(foreign)):
+                with trace.span("pool.mac", worker=wid, step=step, diffs=len(foreign[0])):
                     last_span = "pool.mac"
-                    _replay(foreign)
+                    apply_foreign(inc, di, foreign)
                     payload = _mac_tile_step(inc, di, grid, wid, workers, seed, step)
                 last_span = "idle"
                 _reply(payload)
@@ -320,9 +335,13 @@ def _worker_main(wid: int, conn) -> None:
             ):
                 last_span = "pool.replay"
                 with trace.span(
-                    "pool.replay", worker=wid, diffs=len(foreign), records=len(records)
+                    "pool.replay",
+                    worker=wid,
+                    diffs=len(foreign[0]),
+                    region=_region_size(foreign[1]),
+                    records=len(records),
                 ):
-                    _replay(foreign)
+                    apply_foreign(inc, di, foreign)
                     for op, kind, node, old_key, new_key in records:
                         if kind == "fail":
                             inc._failed.add(node)
@@ -336,34 +355,11 @@ def _worker_main(wid: int, conn) -> None:
                     groups=len(assigned),
                     events=sum(len(ctxs) for _, ctxs, _ in assigned),
                 ) as sp:
-                    # One call of each kernel for every assigned group;
-                    # the reply stays per group.
-                    repaired = inc._repair_groups(
-                        [ctxs for _, ctxs, _ in assigned], collect_diff=True
-                    )
-                    conflicts = [(None, None)] * len(assigned)
-                    if di is not None:
-                        conflicts = di.update_groups(
-                            [
-                                (rs.edges_added, rs.edges_removed, moved)
-                                for (rs, _), (_, _, moved) in zip(repaired, assigned)
-                            ],
-                            _sync=False,
-                            collect_diff=True,
-                        )
-                    out = [
-                        (gid, rs, tdiff, cs, rdiff)
-                        for (gid, _, _), (rs, tdiff), (cs, rdiff) in zip(
-                            assigned, repaired, conflicts
-                        )
-                    ]
+                    out = repair_assigned(inc, di, assigned)
                     sp.set(
                         nodes_touched=sum(o[1].nodes_touched for o in out),
                         diff_entries=sum(_diff_size(o[2], o[4]) for o in out),
                     )
-                inc.topology_version += 1
-                if di is not None:
-                    di._mark_synced()
             last_span = "idle"
             _reply(out)
         except Exception:
@@ -400,12 +396,11 @@ class TileWorkerPool:
         ``--tiles nx,ny`` lands here).
     halo_filter:
         Route diffs through per-worker halo subscriptions (see module
-        docstring).  ``False`` restores the full broadcast — every diff
-        to every worker — for A/B comparison.
-    max_backlog:
-        Suppressed-diff backlog length per worker above which the next
-        delivery flushes everything (memory bound; exactness never
-        depends on it).
+        docstring): a diff outside a worker's territory is withheld and
+        marks its cells stale there, to be refreshed from the parent's
+        state only when the worker is about to read them.  ``False``
+        restores the full broadcast — every diff to every worker — for
+        A/B comparison.
 
     Construct the pool **before** applying any events you want it to
     process — workers fork from the current state.  Use as a context
@@ -422,7 +417,6 @@ class TileWorkerPool:
         grid: "TileGrid | None" = None,
         tiles: "int | tuple[int, int] | None" = None,
         halo_filter: bool = True,
-        max_backlog: int = 512,
     ) -> None:
         ctx = pool_context()
         if ctx.get_start_method() != "fork":
@@ -454,7 +448,6 @@ class TileWorkerPool:
             raise ValueError("pass either grid= or tiles=, not both")
         self.grid = grid
         self.halo_filter = bool(halo_filter)
-        self.max_backlog = int(max_backlog)
         D = float(incremental.max_range)
         #: Eager-subscription radius around a worker's owned tiles.  A
         #: diff's state lies within (4+Δ)D of its group anchors; the MAC
@@ -466,8 +459,11 @@ class TileWorkerPool:
         #: Catch-up radius: two repair regions can only overlap when
         #: their anchor sets come within 2(4+Δ)D of each other.
         self._need_radius = independence_radius(D, delta) * (1.0 + _SLACK)
-        #: Backlog cell side: the slack keeps float rounding in the
-        #: cell floor from pushing a within-radius pair two cells apart.
+        #: Region radius: every key a group's repair reads or writes is
+        #: at a node within (4+Δ)D of its anchors.
+        self._region_radius = 0.5 * self._need_radius
+        #: Stale-cell side: the slack keeps float rounding in the cell
+        #: floor from pushing a within-radius pair two cells apart.
         self._cell = self._need_radius * (1.0 + _SLACK)
         #: Subscription rectangles of every tile, as columns
         #: (lo_x, lo_y, hi_x, hi_y); tile t belongs to worker t % workers.
@@ -479,16 +475,20 @@ class TileWorkerPool:
         self._procs = []
         self._conns = []
         #: Eagerly-subscribed diffs of the previous batch, staged per
-        #: worker (double buffer); entries are
-        #: (seq, anchors, tdiff, rdiff, cells).
+        #: worker (double buffer); entries are (tdiff, rdiff, cells),
+        #: ``cells`` those within the region radius of the anchors.
         self._pending: "list[list]" = [[] for _ in range(self.workers)]
-        #: Suppressed diffs per worker, ordered by seq, awaiting catch-up.
-        self._backlog = [_Backlog() for _ in range(self.workers)]
-        self._seq = 0
+        #: Per worker, the grid cells (``_cell`` wide) where its replica
+        #: may differ from the parent's: the regions of withheld diffs
+        #: not refreshed since.
+        self._stale: "list[set[tuple[int, int]]]" = [set() for _ in range(self.workers)]
         #: Cumulative halo-traffic accounting (also merged into each
-        #: worker's telemetry snapshot).
+        #: worker's telemetry snapshot): eager diffs plus refreshed
+        #: region entries shipped, and withheld (diff, worker) pairs.
         self.diffs_replayed_total = 0
         self.diffs_suppressed_total = 0
+        #: Stale cells refreshed from the parent's state, summed over workers.
+        self.cells_refreshed_total = 0
         self._diffs_in = [0] * self.workers
         self._diffs_deferred = [0] * self.workers
         #: Last telemetry snapshot received from each worker (hello or
@@ -554,15 +554,21 @@ class TileWorkerPool:
         # Phase A — serial mutations in trace order.  Geometry lands in
         # the shared buffers; records carry the private bucket
         # bookkeeping (including pre-move cell keys workers can no
-        # longer derive) to every replica.
+        # longer derive) to every replica.  ``prior`` keeps each event
+        # node's pre-event position and liveness for the stale-region
+        # refresh.
         records = []
         contexts = []
+        prior = []
         for ev in events:
             kind = event_kind(ev)
             node = int(ev.node)
             old_key = None
-            if kind in ("move", "leave", "fail") and index.is_alive(node):
-                old_key = index.cell_key(index.position(node))
+            if node < index.size:
+                alive = index.is_alive(node)
+                prior.append((node, index.position(node), alive))
+                if alive and kind in ("move", "leave", "fail"):
+                    old_key = index.cell_key(prior[-1][1])
             ctx = inc._mutate(ev)
             contexts.append(ctx)
             if ctx is None:
@@ -599,14 +605,14 @@ class TileWorkerPool:
             assigned[wid].append((gid, ctxs, moved))
             need_anchors[wid].append(anchors)
 
-        # Drain every worker's foreign list before the first send, so
+        # Build every worker's foreign payload before the first send, so
         # no worker waits on the parent's catch-up for another.
         foreign = []
         for wid in range(self.workers):
             na = need_anchors[wid]
             foreign.append(
                 self._drain(
-                    wid, np.vstack(na) if na else np.empty((0, 2), dtype=np.float64)
+                    wid, np.vstack(na) if na else np.empty((0, 2), dtype=np.float64), prior
                 )
             )
         for wid in range(self.workers):
@@ -614,11 +620,11 @@ class TileWorkerPool:
         if di is not None:
             # Merge the previous batch's row changes while the workers repair.
             di._flush()
-        diffs_replayed = sum(len(f) for f in foreign)
+        diffs_replayed = sum(len(e) + _region_size(r) for e, r in foreign)
         diff_bytes = 0
         if trace.is_enabled():
             # Wire size of the halo exchange actually shipped.
-            diff_bytes = sum(len(pickle.dumps(f)) for f in foreign if f)
+            diff_bytes = sum(len(pickle.dumps(f)) for f in foreign if f[0] or f[1])
 
         # Splice each reply into the parent replica as it arrives, while
         # the other workers still repair (groups touch disjoint state —
@@ -634,14 +640,13 @@ class TileWorkerPool:
 
         # Stage every group's diffs, in group order, as the other
         # workers' foreign diffs for the next batch: eagerly for workers
-        # whose territory the group's anchors touch, backlogged for the
-        # rest.  Group order fixes the seqs, hence every later delivery.
+        # whose territory the group's anchors touch, as stale cells for
+        # the rest.  Group order fixes the replay order.
         results = []
         for wid, reply in enumerate(replies):
             for gid, rs, tdiff, cs, rdiff in reply:
                 results.append((gid, wid, rs, tdiff, cs, rdiff))
         results.sort(key=lambda r: r[0])
-        batch_tag = self._seq
         repairs = []
         conflict_repairs = []
         halo = 0
@@ -651,7 +656,7 @@ class TileWorkerPool:
             if cs is not None:
                 conflict_repairs.append(cs)
             halo += _diff_size(tdiff, rdiff)
-            diffs_suppressed += self._route_diff(wid, group_anchors[gid], tdiff, (batch_tag, rdiff))
+            diffs_suppressed += self._route_diff(wid, group_anchors[gid], tdiff, rdiff)
 
         inc.topology_version += 1
         if di is not None:
@@ -697,15 +702,6 @@ class TileWorkerPool:
     # ------------------------------------------------------------------
     # Halo subscriptions
     # ------------------------------------------------------------------
-    @staticmethod
-    def _near(a: np.ndarray, b: np.ndarray, r: float) -> bool:
-        """Whether any point of ``a`` is within ``r`` of a point of ``b``."""
-        if len(a) == 0 or len(b) == 0:
-            return False
-        dx = a[:, None, 0] - b[None, :, 0]
-        dy = a[:, None, 1] - b[None, :, 1]
-        return bool((dx * dx + dy * dy <= r * r).any())
-
     def _subscribers(self, anchors: np.ndarray) -> "set[int]":
         """Workers whose subscription zone holds any of ``anchors``."""
         if len(anchors) == 0:
@@ -716,78 +712,83 @@ class TileWorkerPool:
         return set((np.flatnonzero(hit) % self.workers).tolist())
 
     def _route_diff(self, src_wid: int, anchors, tdiff, rdiff) -> int:
-        """Stage one group diff for every other worker; returns deferrals.
+        """Stage one group diff for every other worker; returns withholdings.
 
-        ``rdiff`` travels as ``(batch, row_diff)``: the first seq of the
-        diff's batch, so a worker can merge one batch's row diffs at once.
+        A withheld diff leaves only its region's cells behind: those
+        within the region radius of its anchors, and the cell of each
+        node that died in the group, which may have moved on while dead
+        and takes its keys along.
         """
-        entry = (self._seq, anchors, tdiff, rdiff, _cell_keys(anchors, self._cell))
-        self._seq += 1
+        cells = _cells_near(anchors, self._region_radius, self._cell)
+        cells.update(_cell_of(self.inc.position(d), self._cell) for d in tdiff["dead"])
         subscribed = self._subscribers(anchors) if self.halo_filter else range(self.workers)
-        deferred = 0
+        withheld = 0
         for other in range(self.workers):
             if other == src_wid:
                 continue
             if other in subscribed:
-                self._pending[other].append(entry)
+                self._pending[other].append((tdiff, rdiff, cells))
             else:
-                self._backlog[other].add(entry)
+                self._stale[other] |= cells
                 self._diffs_deferred[other] += 1
-                deferred += 1
-        self.diffs_suppressed_total += deferred
-        return deferred
+                withheld += 1
+        self.diffs_suppressed_total += withheld
+        return withheld
 
-    def _drain(self, wid: int, need_anchors: "np.ndarray | None") -> list:
-        """The ordered foreign-diff list to ship to ``wid`` right now.
+    def _drain(self, wid: int, need_anchors: "np.ndarray | None", prior=()) -> tuple:
+        """The foreign payload ``(eager, region)`` to ship to ``wid`` now.
 
-        Always includes the eager pending entries.  From the backlog it
-        pulls the *seeds* — entries whose anchors come within the
-        2(4+Δ)D independence radius of ``need_anchors`` (the batch's
-        assigned groups may read their regions) — and closes over
-        overlapping entries: a seed or a pending entry pulls in any
-        backlog entry near it, an entry pulled in by the closure only
-        *earlier* ones (a delivered diff needs every earlier withheld
-        diff on shared nodes, or the later replay of the earlier diff
-        would clobber newer state).  Candidates come from the backlog's
-        cell index, so the work is O(entries near the batch), not
-        O(backlog); :func:`repro._reference.halo_catchup_reference` is
-        the linear scan it reproduces.  A backlog past ``max_backlog``
-        is flushed whole.
+        The cells to refresh are the stale cells within the 2(4+Δ)D
+        catch-up radius of ``need_anchors`` (the batch's assigned groups
+        read there), plus every cell of a pending diff whose region
+        touches a stale cell: that diff would replay onto stale state,
+        so it is dropped and its region refreshed instead.  The other
+        pending diffs ship as ``eager``.  ``region`` (``None`` when no
+        node is picked) is the parent's current state of the nodes
+        located in the picked cells and of this batch's event nodes
+        whose pre-event position was there; ``prior`` holds this
+        batch's ``(node, pre-event position, alive before)`` triples.
+        A worker that missed a death keeps the dead node's keys where it
+        died, so a dead node that moves or comes back from a stale cell
+        takes the staleness along: its new cell turns stale too.  The
+        picked cells leave the stale set.
         """
         pending, self._pending[wid] = self._pending[wid], []
-        backlog = self._backlog[wid]
-        if len(backlog) > self.max_backlog:
-            selected = backlog.take_all()
-        elif backlog:
-            selected = self._catch_up(backlog, pending, need_anchors)
-        else:
-            selected = []
-        out = sorted(selected + pending, key=lambda e: e[0])
-        self._diffs_in[wid] += len(out)
-        self.diffs_replayed_total += len(out)
-        return [(e[2], e[3]) for e in out]
+        stale = self._stale[wid]
+        side = self._cell
+        for node, p, alive in prior:
+            if not alive and _cell_of(p, side) in stale:
+                stale.add(_cell_of(self.inc.position(node), side))
+        picked: "set[tuple[int, int]]" = set()
+        if stale and need_anchors is not None and len(need_anchors):
+            picked = stale.intersection(_cells_near(need_anchors, self._need_radius, side))
+        eager = []
+        for tdiff, rdiff, cells in pending:
+            if stale.isdisjoint(cells):
+                eager.append((tdiff, rdiff))
+            else:
+                picked |= cells
+        region = None
+        if picked:
+            stale -= picked
+            self.cells_refreshed_total += len(picked)
+            nodes = self._nodes_in(picked)
+            nodes.update(node for node, p, _ in prior if _cell_of(p, side) in picked)
+            if nodes:
+                theta = self.inc.region_state(sorted(nodes))
+                rows = self.di.region_rows(theta["codes"]) if self.di is not None else None
+                region = {"theta": theta, "rows": rows}
+        shipped = len(eager) + _region_size(region)
+        self._diffs_in[wid] += shipped
+        self.diffs_replayed_total += shipped
+        return eager, region
 
-    def _catch_up(self, backlog: _Backlog, pending: list, need_anchors) -> list:
-        """Pop and return the backlog entries :meth:`_drain` must deliver."""
-        r = self._need_radius
-        near = self._near
-        selected = []
-        if need_anchors is not None and len(need_anchors):
-            for seq in backlog.around(_cell_keys(need_anchors, self._cell)):
-                if near(backlog.entries[seq][1], need_anchors, r):
-                    selected.append(backlog.pop(seq))
-        # Worklist of (entry, is_seed); only seeds pull later entries.
-        work = [(e, True) for e in pending] + [(e, True) for e in selected]
-        while work and backlog:
-            entry, seed = work.pop()
-            for seq in backlog.around(entry[4]):
-                if not seed and seq > entry[0]:
-                    continue
-                if near(backlog.entries[seq][1], entry[1], r):
-                    cand = backlog.pop(seq)
-                    selected.append(cand)
-                    work.append((cand, False))
-        return selected
+    def _nodes_in(self, cells) -> "set[int]":
+        """Ids, live or dead, whose current position lies in ``cells``."""
+        ij = np.floor(self.inc.all_positions() / self._cell).astype(np.int64)
+        keys = (ij[:, 0] << 32) + ij[:, 1]
+        want = np.array([(i << 32) + j for i, j in cells], dtype=np.int64)
+        return set(np.flatnonzero(np.isin(keys, want)).tolist())
 
     # ------------------------------------------------------------------
     # Pool-side MAC steps
@@ -817,9 +818,9 @@ class TileWorkerPool:
             # Ship each worker its eager pending diffs first — the MAC
             # reads tile interiors + (2+Δ)D immediately, and those
             # regions are exactly what the eager subscription keeps
-            # current.  (Backlogged diffs are outside the read region by
-            # construction; the closure inside _drain still rides along
-            # when a pending diff overlaps one.)
+            # current.  (Withheld diffs are outside the read region by
+            # construction; a pending diff that touches one of their
+            # stale cells still becomes a refresh inside _drain.)
             foreign = [self._drain(wid, None) for wid in range(self.workers)]
             for wid in range(self.workers):
                 self._send(wid, ("mac", foreign[wid], int(seed), int(step)))
@@ -898,7 +899,8 @@ class TileWorkerPool:
         """Record a worker's reply telemetry; merge its span events.
 
         The parent grafts its halo-traffic bookkeeping onto the sample
-        (``diffs_in`` / ``diffs_suppressed`` / ``shm_bytes``), so
+        (``diffs_in`` / ``diffs_suppressed`` / ``stale_cells`` /
+        ``shm_bytes``), so
         ``repro top`` and crash postmortems show per-worker subscription
         imbalance without another message round.
         """
@@ -910,14 +912,20 @@ class TileWorkerPool:
             tracer = trace.active()
             if tracer is not None:
                 tracer.ingest(events)
-        tele["diffs_in"] = self._diffs_in[wid]
-        tele["diffs_suppressed"] = self._diffs_deferred[wid]
-        tele["shm_bytes"] = self._arena.nbytes
+        tele.update(self._halo_traffic(wid))
         self._last_tele[wid] = tele
 
+    def _halo_traffic(self, wid: int) -> dict:
+        return {
+            "diffs_in": self._diffs_in[wid],
+            "diffs_suppressed": self._diffs_deferred[wid],
+            "stale_cells": len(self._stale[wid]),
+            "shm_bytes": self._arena.nbytes,
+        }
+
     def telemetry_snapshot(self) -> "dict[int, dict]":
-        """Per-worker telemetry incl. halo traffic (latest known sample)."""
-        return {wid: dict(t) for wid, t in sorted(self._last_tele.items())}
+        """Per-worker telemetry (latest known sample) with current halo traffic."""
+        return {wid: dict(t, **self._halo_traffic(wid)) for wid, t in sorted(self._last_tele.items())}
 
     def _fail(self, wid: int, *, worker_traceback: "str | None" = None) -> None:
         """Tear everything down after a worker death and raise."""

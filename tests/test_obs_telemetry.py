@@ -206,11 +206,11 @@ class TestRendering:
         # must surface them (and omit the columns for plain campaigns).
         snap = json.loads(json.dumps(SNAPSHOT))
         snap["workers"]["101"].update(
-            {"diffs_in": 12, "diffs_suppressed": 34, "shm_bytes": 5_000_000}
+            {"diffs_in": 12, "diffs_suppressed": 34, "stale_cells": 56, "shm_bytes": 5_000_000}
         )
         text = render_snapshot(snap)
-        assert "diffs_in" in text and "diffs_suppressed" in text
-        assert "12" in text and "34" in text
+        assert "diffs_in" in text and "diffs_suppressed" in text and "stale_cells" in text
+        assert "12" in text and "34" in text and "56" in text
         assert "5.0MB" in text
         assert "diffs_in" not in render_snapshot(SNAPSHOT)
 

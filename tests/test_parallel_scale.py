@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.dynamic import DynamicMAC, edge_uniforms
 from repro.parallel import TiledEngine, TileGrid, TileWorkerPool
+from tests.test_parallel_catchup import HEIGHT, WIDTH, strip_churn
 
 THETA = math.pi / 9
 DELTA = 0.5
@@ -218,12 +219,12 @@ class TestHaloSubscriptions:
                 assert sb.diffs_suppressed == 0  # broadcast never defers
             assert not inc_f.check_full_equivalence()
             assert di_f.check_full_equivalence() == 0
-            # each (diff, worker) delivery happens at most once filtered,
-            # exactly once broadcast — cumulative traffic can only shrink
+            # broadcast ships every (diff, worker) pair once; filtered,
+            # a pair is shipped, withheld, or refreshed as region state
+            # only where a worker reads — cumulative traffic can only shrink
             assert filt.diffs_replayed_total <= bcast.diffs_replayed_total
-            assert (
-                filt.diffs_replayed_total + filt.diffs_suppressed_total
-                <= bcast.diffs_replayed_total + len(filt._backlog[0]) + len(filt._backlog[1])
+            assert filt.diffs_suppressed_total <= bcast.diffs_replayed_total + sum(
+                len(p) for p in bcast._pending
             )
 
     def test_distant_clusters_suppress_deliveries(self):
@@ -266,27 +267,35 @@ class TestHaloSubscriptions:
             assert not inc.check_full_equivalence()
             assert di.check_full_equivalence() == 0
 
-    def test_backlog_flush_path_stays_exact(self):
-        # max_backlog=0: every withheld diff is flushed on the next
-        # drain — the cap changes traffic, never state.
-        pts = uniform_points(150, rng=13)
-        d0 = max_range_for_connectivity(pts, slack=1.5)
-        trace = random_event_trace(
-            pts, 120, move_sigma=d0 / 2.0, rng=np.random.default_rng(99)
-        )
-        events = list(trace.events())
-        inc, di = self._twins(pts, d0)
-        inc_s, di_s = self._twins(pts, d0)
-        cap = _capacity(inc, events)
-        with TileWorkerPool(
-            inc, di, workers=2, capacity=cap, max_backlog=0
-        ) as pool:
-            for lo in range(0, len(events), 20):
-                pool.apply_batch(events[lo : lo + 20])
-                for ev in events[lo : lo + 20]:
+    def test_refresh_path_stays_exact(self):
+        # A 2×1 strip where each half reaches into the other worker's
+        # territory: far churn is withheld and leaves stale cells, and
+        # groups near the border, long moves across it and pending
+        # diffs over stale cells make the workers refresh them from the
+        # parent's state — refreshes change traffic, never state.
+        gen = np.random.default_rng(1)
+        pts = gen.random((520, 2)) * [WIDTH, HEIGHT]
+        batches = strip_churn(gen, pts, 12, 10, long_share=0.0)
+        inc = IncrementalTheta(pts, THETA, 1.0)
+        di = DynamicInterference(inc, DELTA)
+        inc_s = IncrementalTheta(pts, THETA, 1.0)
+        di_s = DynamicInterference(inc_s, DELTA)
+        cap = _capacity(inc, [ev for b in batches for ev in b])
+        with TileWorkerPool(inc, di, workers=2, capacity=cap, tiles=(2, 1)) as pool:
+            assert pool.grid.shape == (2, 1)
+            for step, batch in enumerate(batches):
+                pool.apply_batch(batch)
+                for ev in batch:
                     di_s.update_event(inc_s.apply(ev))
                 assert inc.edge_set() == inc_s.edge_set()
                 assert di.interference_sets() == di_s.interference_sets()
+                mac = pool.mac_step(seed=7, step=step)
+                ref = DynamicMAC(di_s, bound_mode="own").deterministic_step(seed=7, step=step)
+                assert np.array_equal(mac.edges, ref.edges)
+                assert np.array_equal(mac.ok, ref.ok)
+            assert pool.diffs_suppressed_total > 0
+            assert pool.cells_refreshed_total > 0
+            assert pool.diffs_replayed_total > 0
 
     def test_grid_tiles_argument_validation(self):
         pts = uniform_points(40, rng=2)
@@ -308,9 +317,10 @@ class TestHaloSubscriptions:
             pool.apply_batch(events)
             snap = pool.telemetry_snapshot()
             assert sorted(snap) == [0, 1]
-            for tele in snap.values():
+            for wid, tele in snap.items():
                 assert tele["diffs_in"] >= 0
                 assert tele["diffs_suppressed"] >= 0
+                assert tele["stale_cells"] == len(pool._stale[wid])
                 assert tele["shm_bytes"] == pool._arena.nbytes > 0
                 assert tele["rss_bytes"] > 0
 

@@ -19,7 +19,10 @@ import pytest
 
 from repro import (
     DynamicInterference,
+    DynamicTopology,
+    EventTrace,
     IncrementalTheta,
+    NodeMove,
     clustered_points,
     interference_sets,
     max_range_for_connectivity,
@@ -157,6 +160,35 @@ class TestProcessPoolChurn:
             pool.apply_batch(events)
         assert inc.edge_set() == inc_s.edge_set()
         assert not inc.check_full_equivalence()
+
+    def test_one_event_steps_reach_the_workers(self):
+        # A step of one event used to skip the pool: the parent repaired
+        # it alone, the workers never saw it, and the next step's group
+        # repair in a worker ran on state that lacked it.
+        pts = uniform_points(300, rng=5)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        u = 17
+        v = int(np.argsort(np.hypot(*(pts - pts[u]).T))[1])
+        shift = np.array([0.3 * d0, 0.0])
+        items = [
+            (0, NodeMove(u, *(pts[u] + shift))),
+            (1, NodeMove(u, *(pts[u] - shift))),
+            (1, NodeMove(v, *(pts[v] + shift))),
+        ]
+        inc = IncrementalTheta(pts, THETA, d0)
+        di = DynamicInterference(inc, DELTA)
+        inc_s = IncrementalTheta(pts, THETA, d0)
+        di_s = DynamicInterference(inc_s, DELTA)
+        with DynamicTopology(
+            inc, EventTrace(items), interference=di, parallel=True, backend="process", workers=2
+        ) as topo:
+            topo._process_pool()  # workers fork before the first step
+            for t in range(2):
+                topo.step(t)
+        for _, ev in items:
+            di_s.update_event(inc_s.apply(ev))
+        assert inc.edge_set() == inc_s.edge_set()
+        assert di.interference_sets() == di_s.interference_sets()
 
     def test_closed_pool_refuses_batches(self):
         pts = uniform_points(40, rng=1)
