@@ -860,7 +860,12 @@ class IncrementalTheta:
 
 @dataclass
 class StepChurn:
-    """What one engine step's worth of events did to the network."""
+    """What one engine step's worth of events did to the network.
+
+    Repair counters are summed over the step's independent event groups:
+    ``repairs`` and ``conflict_repairs`` hold one entry per group, and a
+    node repaired for several events of one group counts once.
+    """
 
     events_applied: int = 0
     nodes_touched: int = 0
@@ -874,8 +879,8 @@ class StepChurn:
     conflict_rows_touched: int = 0
     conflict_entries_changed: int = 0
     conflict_repairs: "list" = field(default_factory=list)
-    #: Independent event groups this step's batch split into (0 when
-    #: events were applied serially per event).
+    #: Independent event groups this step's events split into (0 for a
+    #: step without events).
     batch_groups: int = 0
     #: State entries exchanged across process boundaries (process
     #: backend only; 0 in-process).
@@ -897,18 +902,20 @@ class DynamicTopology:
     interference:
         Optional :class:`repro.dynamic.interference.DynamicInterference`
         kept in lockstep with the topology: its conflict rows are
-        repaired after every event (or batch) from the repair's net edge
-        changelog.
-    parallel / backend / workers:
-        When ``parallel`` is true, each step's events are grouped by
-        dirty-region overlap (:func:`repro.dynamic.batching.apply_events_parallel`)
-        and independent groups are applied as merged-region batches.
-        ``backend`` selects the execution path: ``None`` or ``"serial"``
-        repairs every group in this process with one batch-wide call of
-        each repair kernel, and ``"process"`` lazily builds a
+        repaired after every step from the repair's net edge changelog.
+    backend / workers:
+        Every non-empty step goes through
+        :func:`repro.dynamic.batching.apply_events_parallel`: its events
+        are grouped by dirty-region overlap and every group is repaired
+        in one batch-wide call of each repair kernel.  ``backend``
+        selects where: ``None`` or ``"serial"`` in this process, and
+        ``"process"`` in a lazily built
         :class:`~repro.parallel.pool.TileWorkerPool` of ``workers``
         processes sized to :attr:`capacity` (call :meth:`close`, or use
         as a context manager, to stop it).
+    parallel:
+        Deprecated and inert: accepted for old callers, ignored.  There
+        is one repair route whatever its value.
     capacity:
         Optional explicit node-id capacity (router sizing).  Defaults
         to the largest id mentioned by ``incremental`` or ``events`` —
@@ -931,7 +938,6 @@ class DynamicTopology:
         self.incremental = incremental
         self.events = events
         self.interference = interference
-        self.parallel = bool(parallel)
         self.backend = backend
         self.workers = workers
         self.events_applied = 0
@@ -979,16 +985,20 @@ class DynamicTopology:
         self.close()
 
     def step(self, t: int) -> StepChurn:
-        """Apply the events scheduled for step ``t``."""
+        """Apply the events scheduled for step ``t`` in one batch-wide repair.
+
+        :class:`StepChurn` counts repair work per event group, so a node
+        in the merged region of several events counts once.
+        """
         churn = StepChurn()
         evs = list(self.events.at(t))
-        # Every non-empty step takes the parallel path when it is on: a
-        # process pool's workers must see each step's records and diffs.
-        if self.parallel and evs:
-            from repro.dynamic.batching import apply_events_parallel
+        if evs:
+            # Called through the module attribute so a wrapper installed
+            # on ``batching.apply_events_parallel`` sees every step.
+            from repro.dynamic import batching
 
             pool = self._process_pool() if self.backend == "process" else None
-            batch = apply_events_parallel(
+            batch = batching.apply_events_parallel(
                 self.incremental,
                 evs,
                 interference=self.interference,
@@ -1002,21 +1012,8 @@ class DynamicTopology:
             churn.halo_nodes = batch.halo_nodes
             churn.repairs.extend(batch.repairs)
             churn.conflict_repairs.extend(batch.conflict_repairs)
-            for cs in batch.conflict_repairs:
-                churn.conflict_rows_touched += cs.rows_recomputed
-                churn.conflict_entries_changed += cs.entries_changed
-        else:
-            for ev in evs:
-                stats = self.incremental.apply(ev)
-                churn.events_applied += 1
-                churn.nodes_touched += stats.nodes_touched
-                churn.edges_flipped += stats.edges_flipped
-                churn.repairs.append(stats)
-                if self.interference is not None:
-                    cs = self.interference.update_event(stats)
-                    churn.conflict_repairs.append(cs)
-                    churn.conflict_rows_touched += cs.rows_recomputed
-                    churn.conflict_entries_changed += cs.entries_changed
+            churn.conflict_rows_touched = batch.conflict_rows_touched
+            churn.conflict_entries_changed = batch.conflict_entries_changed
         for ev in evs:
             if isinstance(ev, FailStop):
                 churn.failed_nodes.append(ev.node)

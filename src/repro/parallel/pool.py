@@ -382,7 +382,9 @@ class TileWorkerPool:
         Optional :class:`~repro.dynamic.interference.DynamicInterference`
         maintained alongside (same protocol as the serial backend).
     workers:
-        Worker process count (default: available cores).
+        Worker process count (default: available cores), capped at the
+        grid's tile count: a narrow world covered by fewer tiles starts
+        fewer workers.
     capacity:
         Hard ceiling on node ids (shared buffers cannot grow across
         processes).  Default: double the current id space.
@@ -447,6 +449,9 @@ class TileWorkerPool:
         elif tiles is not None:
             raise ValueError("pass either grid= or tiles=, not both")
         self.grid = grid
+        # A worker without a tile would repair nothing yet fork a full
+        # replica and receive every batch.
+        self.workers = min(self.workers, grid.n_tiles)
         self.halo_filter = bool(halo_filter)
         D = float(incremental.max_range)
         #: Eager-subscription radius around a worker's owned tiles.  A

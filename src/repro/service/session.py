@@ -53,6 +53,9 @@ THETA = math.pi / 9
 #: per-session tracer ring bound — sessions are long-lived, keep small.
 SESSION_TRACE_CAPACITY = 1 << 14
 
+#: A node's status after each status-changing event kind (validation).
+_STATUS_AFTER = {"join": "alive", "recover": "alive", "leave": "gone", "fail": "failed"}
+
 
 class Session:
     """One live scenario: substrate, engine, recorder, broadcast."""
@@ -174,22 +177,30 @@ class Session:
         if self.closed:
             raise ProtocolError(409, "session_closed", f"session {self.id} is closed")
         inc = self.dynamic.incremental
-        alive = {int(v) for v in inc.alive_ids()}
-        failed = {int(v) for v in inc.failed_ids()}
+        index, down = inc._index, inc._failed
+        # Status of every node a row validated earlier changes; all
+        # other nodes read the live topology (a failed node is never
+        # alive, so one status per node suffices).
+        overlay: "dict[int, str]" = {}
+
+        def status(v: int) -> str:
+            st = overlay.get(v)
+            if st is None:
+                st = "alive" if index.is_alive(v) else "failed" if v in down else "gone"
+            return st
+
+        # Joins must take the next unused id or re-populate a departed one.
+        next_id = index.size
         # Rows a previous batch scheduled at the engine's next step are
         # not in the applied topology yet; replay them so validation
         # sees the state the engine will actually apply this batch
         # against (two batches each leaving node 5 must not both pass).
         for ev in self.schedule.at(self.engine.t):
             kind = event_kind(ev)
-            if kind == "join" or kind == "recover":
-                alive.add(int(ev.node))
-                if kind == "recover":
-                    failed.discard(int(ev.node))
-            elif kind == "leave" or kind == "fail":
-                alive.discard(int(ev.node))
-                if kind == "fail":
-                    failed.add(int(ev.node))
+            if kind in _STATUS_AFTER:
+                overlay[int(ev.node)] = _STATUS_AFTER[kind]
+            if kind == "join":
+                next_id = max(next_id, int(ev.node) + 1)
         capacity = self.dynamic.capacity
         topo_rows: "list[dict]" = []
         traffic: "list[tuple[int, int, int]]" = []
@@ -204,11 +215,11 @@ class Session:
                 dest = row["dest"]
                 if dest < 0 or dest >= capacity:
                     raise ProtocolError(409, "bad_node", f"event {i}: dest {dest} outside capacity")
-                if node not in alive:
+                if status(node) != "alive":
                     raise ProtocolError(
                         409, "dead_node", f"event {i}: cannot inject at node {node}: not alive"
                     )
-                if dest not in alive:
+                if status(dest) != "alive":
                     raise ProtocolError(
                         409, "dead_node", f"event {i}: cannot inject to dest {dest}: not alive"
                     )
@@ -227,31 +238,32 @@ class Session:
             # so an invalid event 409s here instead of exploding the
             # engine mid-step.
             if kind == "join":
-                if node in alive:
+                if status(node) == "alive":
                     raise ProtocolError(409, "bad_event", f"event {i}: node {node} is already alive")
-                if node in failed:
+                if status(node) == "failed":
                     raise ProtocolError(
                         409, "bad_event", f"event {i}: node {node} is failed; use recover, not join"
                     )
-                alive.add(node)
+                if node > next_id:
+                    raise ProtocolError(
+                        409, "bad_event", f"event {i}: node {node} skips ids (next unused is {next_id})"
+                    )
+                next_id = max(next_id, node + 1)
             elif kind == "move":
-                if node not in alive and node not in failed:
+                if status(node) == "gone":
                     raise ProtocolError(409, "dead_node", f"event {i}: cannot move node {node}: not alive")
             elif kind in ("leave", "fail"):
-                if node not in alive:
+                if status(node) != "alive":
                     raise ProtocolError(
                         409, "dead_node", f"event {i}: cannot {kind} node {node}: not alive"
                     )
-                alive.discard(node)
-                if kind == "fail":
-                    failed.add(node)
             else:  # recover
-                if node not in failed:
+                if status(node) != "failed":
                     raise ProtocolError(
                         409, "bad_event", f"event {i}: cannot recover node {node}: not failed"
                     )
-                failed.discard(node)
-                alive.add(node)
+            if kind in _STATUS_AFTER:
+                overlay[node] = _STATUS_AFTER[kind]
             topo_rows.append(row)
         at_step = self.engine.t
         for row in topo_rows:

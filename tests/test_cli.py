@@ -185,7 +185,7 @@ class TestProcessBackendTrace:
         assert main([
             "dynamic", "--n", "200", "--churn", "0.02", "--steps", "5",
             "--parallel", "--backend", "process", "--workers", "2",
-            "--trace", str(tdir),
+            "--tiles", "2,1", "--trace", str(tdir),
         ]) == 0
         out = capsys.readouterr().out
         assert "backend: process" in out
@@ -221,9 +221,14 @@ class TestDynamicTiles:
         assert "diffs replayed" in out
 
     def test_tile_count_and_no_halo_filter(self, capsys):
+        # A tile count clamps to the independence width: this world gets
+        # one tile, hence one worker, and nothing to broadcast.
         assert main(self.BASE + ["--tiles", "6", "--no-halo-filter"]) == 0
         out = capsys.readouterr().out
         assert "backend: process" in out
+        assert "edge-for-edge equal" in out
+        assert main(self.BASE + ["--tiles", "2,1", "--no-halo-filter"]) == 0
+        out = capsys.readouterr().out
         assert "suppressed: 0" in out  # broadcast mode never defers
 
     def test_malformed_tiles_exits_2(self, capsys):

@@ -235,7 +235,7 @@ class TestFaultInjection:
 
 
 class TestMACUnderChurn:
-    def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False):
+    def _mac_setup(self, n=30, seed=2, steps=40):
         from repro import DynamicInterference, DynamicMAC
 
         pts, d0, _ = _dynamic_setup(n, seed, steps)[:3]
@@ -247,7 +247,7 @@ class TestMACUnderChurn:
         )
         inc = IncrementalTheta(pts, THETA, d0)
         di = DynamicInterference(inc, 0.5)
-        dyn = DynamicTopology(inc, trace, interference=di, parallel=parallel)
+        dyn = DynamicTopology(inc, trace, interference=di)
         mac = DynamicMAC(di, rng=seed + 3)
         return dyn, di, mac
 
@@ -278,19 +278,6 @@ class TestMACUnderChurn:
         arrays = series.arrays()
         assert len(arrays["conflict_rows_touched"]) == steps
         assert arrays["conflict_rows_touched"][-1] == dyn.conflict_rows_total
-
-    def test_parallel_dynamic_topology_matches_serial(self):
-        n, steps = 30, 40
-        dyn_s, di_s, _ = self._mac_setup(n, 4, steps)
-        dyn_p, di_p, _ = self._mac_setup(n, 4, steps, parallel=True)
-        for t in range(steps):
-            dyn_s.step(t)
-            dyn_p.step(t)
-        assert np.array_equal(
-            dyn_s.incremental.edge_array(), dyn_p.incremental.edge_array()
-        )
-        assert di_s.interference_sets() == di_p.interference_sets()
-        assert dyn_p.conflict_rows_total > 0
 
     def test_mac_requires_dynamic(self):
         from repro import DynamicInterference, DynamicMAC

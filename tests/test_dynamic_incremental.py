@@ -273,7 +273,8 @@ class TestDynamicTopology:
         assert c2.joined_nodes == [1] and c2.removed_nodes == [0]
         assert dyn.events_applied == 4
         assert dyn.nodes_touched_total >= 4
-        assert len(dyn.repairs) == 4
+        # One repair per event group: each step's two events share one.
+        assert len(dyn.repairs) == dyn.batch_groups_total == 2
         assert 0 not in dyn.alive_ids().tolist()
         edges = dyn.active_edges()
         assert edges.ndim == 2 and edges.shape[1] == 2

@@ -294,7 +294,8 @@ def _churned_pool(tracer, *, n_batches=4, batch=10):
     )
     events = list(tr.events())
     cap = max([inc.size] + [int(ev.node) + 1 for ev in events]) + 8
-    pool = TileWorkerPool(inc, di, workers=2, capacity=cap)
+    # Two pinned tiles: a narrower default cover would start one worker.
+    pool = TileWorkerPool(inc, di, workers=2, capacity=cap, tiles=(2, 1))
     try:
         for lo in range(0, len(events), batch):
             pool.apply_batch(events[lo : lo + batch])

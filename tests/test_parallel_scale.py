@@ -200,10 +200,12 @@ class TestHaloSubscriptions:
         inc_b, di_b = self._twins(pts, d0)
         inc_s, di_s = self._twins(pts, d0)
         cap = _capacity(inc_f, events)
+        # Pinned 2×1 tiles: the default cover of this narrow world is one
+        # tile, which would leave the second worker without one.
         with TileWorkerPool(
-            inc_f, di_f, workers=2, capacity=cap, halo_filter=True
+            inc_f, di_f, workers=2, capacity=cap, tiles=(2, 1), halo_filter=True
         ) as filt, TileWorkerPool(
-            inc_b, di_b, workers=2, capacity=cap, halo_filter=False
+            inc_b, di_b, workers=2, capacity=cap, tiles=(2, 1), halo_filter=False
         ) as bcast:
             for lo in range(0, len(events), 25):
                 batch = events[lo : lo + 25]
@@ -305,6 +307,22 @@ class TestHaloSubscriptions:
         with pytest.raises(ValueError, match="not both"):
             TileWorkerPool(inc, workers=1, capacity=64, grid=grid, tiles=(2, 2))
 
+    def test_workers_capped_at_tile_count(self):
+        # A unit-square world is narrower than two independence widths:
+        # its default cover is one tile, so one worker starts, not two.
+        pts = uniform_points(60, rng=3)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        inc = IncrementalTheta(pts, THETA, d0)
+        with TileWorkerPool(inc, workers=2, capacity=inc.size + 8) as pool:
+            assert pool.grid.shape == (1, 1)
+            assert pool.workers == 1
+            assert len(pool._procs) == len(pool._conns) == 1
+            node = int(inc.alive_ids()[0])
+            x, y = (float(v) for v in inc._index.position(node))
+            stats = pool.apply_batch([NodeMove(node=node, x=x + 1e-3, y=y)])
+            assert stats.jobs == 1
+            assert not inc.check_full_equivalence()
+
     def test_pool_telemetry_carries_halo_traffic(self):
         pts = uniform_points(100, rng=21)
         d0 = max_range_for_connectivity(pts, slack=1.5)
@@ -313,7 +331,9 @@ class TestHaloSubscriptions:
         )
         events = list(trace.events())
         inc, di = self._twins(pts, d0)
-        with TileWorkerPool(inc, di, workers=2, capacity=_capacity(inc, events)) as pool:
+        with TileWorkerPool(
+            inc, di, workers=2, capacity=_capacity(inc, events), tiles=(2, 1)
+        ) as pool:
             pool.apply_batch(events)
             snap = pool.telemetry_snapshot()
             assert sorted(snap) == [0, 1]

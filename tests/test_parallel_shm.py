@@ -103,7 +103,8 @@ class TestPoolLifecycle:
         pts = uniform_points(60, rng=9)
         d0 = max_range_for_connectivity(pts, slack=1.5)
         inc = IncrementalTheta(pts, THETA, d0)
-        pool = TileWorkerPool(inc, workers=workers, capacity=inc.size + 16)
+        # Two pinned tiles: a narrower default cover would start one worker.
+        pool = TileWorkerPool(inc, workers=workers, capacity=inc.size + 16, tiles=(2, 1))
         return inc, pool
 
     def test_close_unlinks_segments_and_restores_index(self):

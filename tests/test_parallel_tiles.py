@@ -109,7 +109,11 @@ class TestProcessPoolChurn:
         di = DynamicInterference(inc, DELTA)
         cap = max([inc.size] + [int(ev.node) + 1 for ev in events]) + 8
         twins = _serial_twin(pts, d0, events, batch=15)
-        with TileWorkerPool(inc, di, workers=WORKERS[seed], capacity=cap) as pool:
+        # Pinned 2×2 tiles give every worker count of the matrix a tile
+        # (the default cover of a unit-square world is one tile).
+        with TileWorkerPool(
+            inc, di, workers=WORKERS[seed], capacity=cap, tiles=(2, 2)
+        ) as pool:
             for lo in range(0, len(events), 15):
                 stats = pool.apply_batch(events[lo : lo + 15])
                 inc_s, di_s = next(twins)
@@ -180,7 +184,7 @@ class TestProcessPoolChurn:
         inc_s = IncrementalTheta(pts, THETA, d0)
         di_s = DynamicInterference(inc_s, DELTA)
         with DynamicTopology(
-            inc, EventTrace(items), interference=di, parallel=True, backend="process", workers=2
+            inc, EventTrace(items), interference=di, backend="process", workers=2
         ) as topo:
             topo._process_pool()  # workers fork before the first step
             for t in range(2):

@@ -470,6 +470,32 @@ class TestSessionManagerUnit:
 
         run(scenario())
 
+    def test_join_then_inject_in_one_batch(self):
+        manager = SessionManager(max_sessions=1, ttl_seconds=10.0)
+        session = manager.create(parse_session_config({"n": 16, "dests": [0]}))
+        rows = parse_event_rows({"events": [
+            {"kind": "join", "node": 16, "pos": [0.5, 0.5]},
+            {"kind": "inject", "node": 16, "dest": 0, "count": 2},
+        ]})
+        assert session.inject(rows)["scheduled"] == 1
+        accepted = session.router.stats.accepted
+        session.advance(1)
+        assert 16 in session.dynamic.alive_ids().tolist()
+        assert session.router.stats.accepted >= accepted + 2
+        # Refused whole: node 17 is not alive when its inject row is
+        # checked, and a join may not skip the next unused id.
+        for rows, code in (
+            ([{"kind": "inject", "node": 17, "dest": 0, "count": 1},
+              {"kind": "join", "node": 17, "pos": [0.4, 0.4]}], "dead_node"),
+            ([{"kind": "join", "node": 18, "pos": [0.4, 0.4]}], "bad_event"),
+        ):
+            with pytest.raises(ProtocolError) as exc:
+                session.inject(parse_event_rows({"events": rows}))
+            assert exc.value.status == 409 and exc.value.code == code, rows
+        assert session.schedule.at(session.engine.t) == []
+        session.advance(1)
+        manager.delete(session.id)
+
     def test_drain_waits_for_busy_sessions(self):
         async def scenario():
             manager = SessionManager(max_sessions=2, ttl_seconds=10.0)
