@@ -47,9 +47,11 @@ progress and a persistent, queryable result store:
     python -m repro top STORE --watch 2                  # refresh every 2s
 
 ``verify`` evaluates every selected claim's tolerance/bound predicate
-(see :mod:`repro.harness.registry`), writes one JSON record per claim
-under ``benchmarks/results/`` (override with ``REPRO_RESULTS_DIR``),
-prints a summary table, and exits 1 if any claim no longer holds.
+(see :mod:`repro.harness.registry`) as a one-cell-per-claim campaign
+whose store lands in ``campaigns/verify-<profile>/`` under the results
+directory (``benchmarks/results/``, override with ``REPRO_RESULTS_DIR``;
+``query`` and ``top`` read it), writes one JSON record per claim next to
+it, prints a summary table, and exits 1 if any claim no longer holds.
 
 ``--trace DIR`` (or the ``REPRO_TRACE=DIR`` environment variable)
 enables the span tracer and per-step series recorder for the run and
@@ -65,15 +67,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
+import shutil
 import sys
 import time
+from pathlib import Path
 
 from repro import obs
 from repro.analysis import tables
 from repro.harness.registry import REGISTRY, build_rows, claim_ids, resolve_ids
 from repro.harness.results import write_result
-from repro.harness.runner import run_claims
 from repro.obs import trace
 from repro.obs.report import render_report
 
@@ -113,7 +117,37 @@ def _export_trace(trace_dir: str) -> None:
           f"'python -m repro report {trace_dir}'")
 
 
+def _clear_verify_store(store_dir: Path, spec) -> None:
+    """Remove an earlier verify store at ``store_dir``; refuse anything else.
+
+    A verify store pins a spec that differs from ``spec`` at most in its
+    claim list.  Any other content of the directory is left untouched
+    and raised as a :class:`~repro.campaign.store.StoreError`.
+    """
+    from repro.campaign.store import STORE_SCHEMA, StoreError
+
+    if not store_dir.is_dir() or not any(store_dir.iterdir()):
+        return
+    try:
+        doc = json.loads((store_dir / "store.json").read_text())
+        pinned = dict(doc["spec"], grid=sorted(doc["spec"]["grid"]))
+        is_verify = doc["schema"] == STORE_SCHEMA and pinned == dict(
+            spec.to_json(), grid=["claim"]
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        is_verify = False
+    if not is_verify:
+        raise StoreError(
+            f"{store_dir} exists and is not a {spec.name!r} store; move it "
+            "away or set REPRO_RESULTS_DIR to another location"
+        )
+    shutil.rmtree(store_dir)
+
+
 def _verify(args: argparse.Namespace, trace_dir: "str | None") -> int:
+    from repro.campaign import CampaignSpec, CampaignStore, StoreError, run_campaign
+    from repro.harness.results import ResultsDirError, resolve_results_dir
+
     if args.list:
         print(_claim_table())
         return 0
@@ -126,52 +160,52 @@ def _verify(args: argparse.Namespace, trace_dir: "str | None") -> int:
         )
         return 2
     profile = "quick" if args.quick else "full"
+    # One registry-seeded cell per claim, no overrides: the claim JSONs
+    # below are rendered from this store's records.
+    spec = CampaignSpec(
+        name=f"verify-{profile}", profile=profile, grid={"claim": tuple(ids)}, fixed={}
+    )
+    try:
+        store_dir = resolve_results_dir(f"campaigns/{spec.name}")
+        _clear_verify_store(store_dir, spec)
+    except (ResultsDirError, StoreError) as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     if trace_dir:
         obs.enable()
-    t0 = time.perf_counter()
-    results = run_claims(
-        ids, profile=profile, jobs=args.jobs, collect_trace=bool(trace_dir)
-    )
-    wall = time.perf_counter() - t0
+    report = run_campaign(spec, store_dir, jobs=args.jobs, progress=None)
+    store = CampaignStore(root=store_dir, spec=spec)
+    records = [store.load_cell(cell.cell_id) for cell in spec.cells()]
 
-    summary = []
-    for res in results:
-        path = write_result(res)
-        summary.append(
-            {
-                "claim": res.claim.upper(),
-                "paper_ref": res.paper_ref,
-                "title": res.title,
-                "rows": len(res.rows),
-                "passed": res.passed,
-                "violations": len(res.failures),
-                "seconds": round(res.runtime_seconds, 2),
-                "json": str(path),
-            }
-        )
-    n_failed = sum(not res.passed for res in results)
+    summary = [
+        {
+            "claim": rec["claim"].upper(),
+            "paper_ref": rec["paper_ref"],
+            "title": rec["title"],
+            "rows": rec["n_rows"],
+            "passed": rec["passed"],
+            "violations": len(rec["failures"]),
+            "seconds": round(rec["runtime_seconds"], 2),
+            "json": str(write_result(rec)),
+        }
+        for rec in records
+    ]
     print(
         tables.render_table(
             summary,
-            title=f"repro verify — {profile} profile, {len(results)} claims, "
-            f"--jobs {args.jobs}, {wall:.1f}s wall",
+            title=f"repro verify — {profile} profile, {len(records)} claims, "
+            f"--jobs {args.jobs}, {report.wall_seconds:.1f}s wall",
         )
     )
-    for res in results:
-        for msg in res.failures:
-            print(f"FAIL {res.claim}: {msg}", file=sys.stderr)
+    for rec in records:
+        for msg in rec["failures"]:
+            print(f"FAIL {rec['claim']}: {msg}", file=sys.stderr)
     if trace_dir:
-        # Merge what the claims captured (in-process or in pool workers)
-        # into this process's tracer, then export one trace directory.
-        tracer = trace.active()
-        for res in results:
-            tracer.ingest(res.trace.get("events", []))
-            tracer.ingest_series(res.trace.get("series", []))
         _export_trace(trace_dir)
-    if n_failed:
-        print(f"\n{n_failed}/{len(results)} claims FAILED", file=sys.stderr)
+    if report.n_failed:
+        print(f"\n{report.n_failed}/{len(records)} claims FAILED", file=sys.stderr)
         return 1
-    print(f"\nall {len(results)} claims hold")
+    print(f"\nall {len(records)} claims hold")
     return 0
 
 
@@ -209,7 +243,6 @@ def _dynamic(args: argparse.Namespace, trace_dir: "str | None") -> int:
     event probability, so the trace holds ``n * churn * steps`` mixed
     events (moves 40%, join/leave/fail/recover 15% each).
     """
-    import json
     import math
 
     import numpy as np
@@ -612,6 +645,9 @@ def _top_main(argv: "list[str]") -> int:
         help="refresh every SEC seconds until interrupted",
     )
     args = parser.parse_args(argv)
+    if args.watch is not None and not args.watch >= 0:
+        print(f"top: --watch must be >= 0 seconds, got {args.watch}", file=sys.stderr)
+        return 2
     try:
         while True:
             text = telemetry.render_top(args.store)
@@ -710,6 +746,9 @@ def _serve_main(argv: "list[str]") -> int:
     args = parser.parse_args(argv)
     if args.max_sessions < 1 or args.session_ttl <= 0:
         print("serve: --max-sessions must be >= 1 and --session-ttl > 0", file=sys.stderr)
+        return 2
+    if not 0 <= args.port <= 65535:
+        print(f"serve: --port must be in 0..65535, got {args.port}", file=sys.stderr)
         return 2
     try:
         return serve(

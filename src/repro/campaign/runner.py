@@ -1,7 +1,8 @@
 """Fan a campaign's cells out across the warm-worker process pool.
 
-Reuses the claim harness machinery end to end: cells execute the same
-registered harness functions as ``repro verify``, workers come from
+This is the one claim-execution path: ``repro verify`` is a campaign
+with one registry-seeded cell per claim.  Cells execute the registered
+harness functions, workers come from
 :func:`repro.harness.runner.pool_context` (long-lived fork workers, so
 the per-process substrate cache of :mod:`repro.harness.cache` stays
 warm across the cells each worker executes), and records carry the
@@ -19,9 +20,9 @@ parent appends ``repro-telemetry/v1`` progress snapshots to the store's
 forced snapshot).  ``live=True`` additionally renders those snapshots
 in place (``campaign run --live``); ``python -m repro top STORE`` reads
 the same stream after the fact.  When the parent traces
-(``--trace DIR``), workers ship their span events and metrics deltas
-back inside each record and the parent merges them, so one exported
-trace covers the whole fan-out.
+(``--trace DIR``), workers ship their span events, metrics deltas and
+step series back inside each record and the parent merges them, so one
+exported trace covers the whole fan-out at any job count.
 """
 
 from __future__ import annotations
@@ -62,19 +63,24 @@ class CampaignReport:
 def run_cell(cell: Cell, *, check: bool = True) -> dict:
     """Execute one cell in-process and return its (pre-jsonify) record.
 
-    The record always carries a ``worker`` resource sample of the
-    executing process.  When the process traces (the parent enabled
-    ``--trace`` before forking the pool), a ``telemetry`` key carries
-    the cell's span events and — in pool workers — the worker registry's
-    metrics delta; :func:`run_campaign` merges and strips it before the
-    record is stored.
+    The cell runs under a ``claim.<id>`` span, and the record always
+    carries a ``worker`` resource sample of the executing process.  In
+    a pool worker of a tracing parent (``--trace`` enabled before the
+    fork), a ``telemetry`` key carries the cell's span events, the
+    worker registry's metrics delta and its step series;
+    :func:`run_campaign` merges and strips it before the record is
+    stored.  In-process (``jobs=1``) all three are already on the
+    parent's tracer and registry.
     """
     claim = REGISTRY[cell.claim]
     tracer = telemetry.worker_tracer()
     mark = tracer.total_appended if tracer is not None else 0
+    series_mark = len(tracer.series) if tracer is not None else 0
     stats_before = cache.cache_stats()
     t0 = time.perf_counter()
-    with trace.span("campaign.cell", cell=cell.cell_id, claim=cell.claim):
+    with trace.span(
+        f"claim.{cell.claim}", cell=cell.cell_id, profile=cell.profile, seed=cell.seed
+    ):
         rows = claim.harness()(**dict(cell.params), rng=cell.seed)
     runtime = time.perf_counter() - t0
     failures: "list[str]" = []
@@ -102,7 +108,11 @@ def run_cell(cell: Cell, *, check: bool = True) -> dict:
     }
     events, _ = telemetry.drain_events(tracer, mark)
     if tracer is not None and tracer.foreign:
-        tele: dict = {"events": events}
+        tele: dict = {
+            "events": events,
+            "series": tracer.series_records()[series_mark:],
+        }
+        del tracer.series[series_mark:]  # shipped; the next cell ships its own
         reg = metrics.active()
         if reg is not None:
             tele["metrics"] = reg.snapshot()
@@ -181,14 +191,15 @@ def run_campaign(
 
     def _consume(record: dict) -> None:
         nonlocal n_run, n_failed
-        # Merge (and strip) worker-shipped trace events and metrics
-        # deltas before the record hits disk — they belong in the
-        # parent's export, not in every cell file.
+        # Merge (and strip) worker-shipped trace events, step series
+        # and metrics deltas before the record hits disk — they belong
+        # in the parent's export, not in every cell file.
         tele = record.pop("telemetry", None)
         if tele:
             tracer = trace.active()
-            if tracer is not None and tele.get("events"):
-                tracer.ingest(tele["events"])
+            if tracer is not None:
+                tracer.ingest(tele.get("events", ()))
+                tracer.ingest_series(tele.get("series", ()))
             reg = metrics.active()
             if reg is not None and tele.get("metrics"):
                 reg.merge(tele["metrics"])

@@ -134,14 +134,25 @@ class CampaignSpec:
         return out
 
     def cells(self) -> "list[Cell]":
-        """Expand the grid into validated cells, in axis-major order."""
+        """Expand the grid into validated cells, in axis-major order.
+
+        Two grid points that resolve to one ``cell_id`` (a repeated axis
+        value, say) would run the same cell twice and leave the manifest
+        with more lines than records, so they fail expansion instead.
+        """
         axes = self.axes()
-        cells = []
+        cells: "dict[str, Cell]" = {}
         for combo in itertools.product(*(self.grid[a] for a in axes)):
             assignment = dict(self.fixed)
             assignment.update(dict(zip(axes, combo)))
-            cells.append(_build_cell(assignment, self.profile))
-        return cells
+            cell = _build_cell(assignment, self.profile)
+            if cell.cell_id in cells:
+                raise SpecError(
+                    f"grid expands to cell {cell.cell_id} more than once "
+                    f"({cell.describe()}); drop the repeated axis value"
+                )
+            cells[cell.cell_id] = cell
+        return list(cells.values())
 
     def to_json(self) -> dict:
         """Canonical spec document (what the store pins at creation)."""

@@ -211,13 +211,16 @@ def claim_ids() -> "list[str]":
 def resolve_ids(spec: "str | None") -> "list[str]":
     """Parse an ``--only``-style spec (``"e4,e7"``) into claim ids.
 
-    ``None``, ``""`` and ``"all"`` mean every claim.  Raises
-    ``KeyError`` listing the malformed/unknown ids otherwise.
+    ``None``, ``""``, ``"all"`` and a spec naming no id (``","``) mean
+    every claim.  Repeats collapse to their first occurrence
+    (``"e1,e1,E1"`` is ``["e1"]``).  Raises ``KeyError`` listing the
+    malformed/unknown ids otherwise.
     """
     if not spec or spec.strip().lower() == "all":
         return claim_ids()
-    ids = [part.strip().lower() for part in spec.split(",") if part.strip()]
+    parts = (part.strip().lower() for part in spec.split(","))
+    ids = list(dict.fromkeys(part for part in parts if part))
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown experiment id(s): {', '.join(unknown)}")
-    return ids
+    return ids or claim_ids()

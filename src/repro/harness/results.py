@@ -1,7 +1,9 @@
 """Versioned JSON result records for claim verification runs.
 
-Each verified claim produces one ``<claim>.json`` under the results
-directory (``benchmarks/results/`` by default, overridable through the
+``repro verify`` runs each claim as one cell of a campaign (see
+:mod:`repro.campaign`), and :func:`write_result` renders that cell's
+store record as one ``<claim>.json`` under the results directory
+(``benchmarks/results/`` by default, overridable through the
 ``REPRO_RESULTS_DIR`` environment variable so CI can redirect
 artifacts).  The schema, ``repro-claim-result/v1``:
 
@@ -34,14 +36,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 SCHEMA = "repro-claim-result/v1"
 
 __all__ = [
     "SCHEMA",
-    "ClaimResult",
     "ResultsDirError",
     "default_results_dir",
     "jsonify",
@@ -59,35 +59,12 @@ class ResultsDirError(OSError):
     """
 
 
-@dataclass
-class ClaimResult:
-    """Outcome of verifying one claim under one parameter profile."""
-
-    claim: str
-    title: str
-    paper_ref: str
-    profile: str
-    seed: int
-    params: dict
-    rows: "list[dict]"
-    failures: "list[str]"
-    runtime_seconds: float
-    cache: dict = field(default_factory=dict)
-    #: observability capture for this claim (``{"events": [...],
-    #: "series": [...]}``); empty unless the run was traced.  Events are
-    #: plain dicts so the record survives the process pool and lands in
-    #: the JSON, where merged Chrome traces are rebuilt from them.
-    trace: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self) -> dict:
-        rec = {"schema": SCHEMA, **asdict(self)}
-        rec["n_rows"] = len(self.rows)
-        rec["passed"] = self.passed
-        return jsonify(rec)
+#: the keys of a ``repro-claim-result/v1`` record, in file order; a
+#: campaign cell record carries all of them (plus cell/store bookkeeping).
+_CLAIM_KEYS = (
+    "claim", "title", "paper_ref", "profile", "seed", "params", "rows",
+    "failures", "runtime_seconds", "cache", "n_rows", "passed",
+)
 
 
 def jsonify(obj):
@@ -151,10 +128,11 @@ def resolve_results_dir(subdir: "str | None" = None, *, create: bool = True) -> 
     return path
 
 
-def write_result(result: ClaimResult, results_dir: "Path | None" = None) -> Path:
-    """Persist one claim result as ``<results_dir>/<claim>.json``."""
+def write_result(cell: dict, results_dir: "Path | None" = None) -> Path:
+    """Render one claim's campaign cell record as ``<results_dir>/<claim>.json``."""
     out_dir = Path(results_dir) if results_dir is not None else resolve_results_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{result.claim}.json"
-    path.write_text(json.dumps(result.record(), indent=2, allow_nan=False) + "\n")
+    path = out_dir / f"{cell['claim']}.json"
+    record = jsonify({"schema": SCHEMA, **{k: cell[k] for k in _CLAIM_KEYS}})
+    path.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
     return path

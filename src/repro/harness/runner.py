@@ -1,40 +1,19 @@
-"""Parallel claim execution across a multiprocessing pool.
+"""The process-pool context shared by every fork-worker pool.
 
-``run_claims`` evaluates a selection of registry claims under a
-parameter profile, serially (``jobs=1``) or across a process pool.
-Each claim runs with its own registered seed, is wall-clock timed, and
-reports the substrate-cache counters it observed, so the JSON records
-show how much construction work was shared.
-
-Workers are plain pool processes that live for the whole run
-(``maxtasksperchild`` is left unset), so the per-process substrate
-cache (:mod:`repro.harness.cache`) stays warm across the claims each
-worker executes.
-
-Tracing (``run_claims(..., collect_trace=True)``): every claim runs
-under a ``claim.<id>`` span, and whatever span events and step series
-the claim's simulations emitted are drained into ``ClaimResult.trace``
-as plain dicts.  Workers enable a *fresh* tracer on first use (a forked
-parent tracer would carry the wrong pid and stale events), so merged
-Chrome traces show one track per pool process.
+Claims execute through :mod:`repro.campaign.runner` (``repro verify`` is
+a one-cell-per-claim campaign); the tiled worker pool and engine of
+:mod:`repro.parallel` start their workers from the same context.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
-import time
 
-from repro.harness import cache
-from repro.harness.registry import REGISTRY, build_rows
-from repro.harness.results import ClaimResult
-from repro.obs import trace
-
-__all__ = ["pool_context", "run_claims", "verify_claim"]
+__all__ = ["pool_context"]
 
 
 def pool_context() -> mp.context.BaseContext:
-    """The multiprocessing context shared by verify and campaign pools.
+    """The multiprocessing context shared by campaign and parallel pools.
 
     fork shares the imported modules (cheap start) and is preferred
     wherever available; spawn is the fallback.  Workers created from
@@ -44,84 +23,3 @@ def pool_context() -> mp.context.BaseContext:
     """
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(method)
-
-
-def verify_claim(claim_id: str, profile: str = "full", *, collect_trace: bool = False) -> ClaimResult:
-    """Run one claim's harness and evaluate its predicate.
-
-    With ``collect_trace`` the claim executes under an active tracer
-    (enabling one if needed) and the events/series it produced travel
-    back in ``ClaimResult.trace``.
-    """
-    claim = REGISTRY[claim_id]
-    tracer = trace.active()
-    if collect_trace and tracer is None:
-        tracer = trace.enable()
-    event_mark = tracer.total_appended if tracer is not None else 0
-    series_mark = len(tracer.series) if tracer is not None else 0
-    stats_before = cache.cache_stats()
-    t0 = time.perf_counter()
-    with trace.span(f"claim.{claim.id}", profile=profile, seed=claim.seed):
-        rows = build_rows(claim, profile)
-    runtime = time.perf_counter() - t0
-    try:
-        failures = list(claim.check(rows, profile))
-    except Exception as exc:  # a crashed predicate is a failed claim, not a crashed run
-        failures = [f"predicate raised {type(exc).__name__}: {exc}"]
-    trace_payload: dict = {}
-    if collect_trace and tracer is not None:
-        trace_payload = {
-            "events": tracer.events_since(event_mark),
-            "series": tracer.series_records()[series_mark:],
-        }
-        del tracer.series[series_mark:]
-    return ClaimResult(
-        claim=claim.id,
-        title=claim.title,
-        paper_ref=claim.paper_ref,
-        profile=profile,
-        seed=claim.seed,
-        params=dict(claim.params(profile)),
-        rows=rows,
-        failures=failures,
-        runtime_seconds=round(runtime, 3),
-        cache={
-            k: cache.cache_stats()[k] - stats_before[k] for k in stats_before
-        },
-        trace=trace_payload,
-    )
-
-
-def _worker(task: "tuple[str, str, bool]") -> ClaimResult:
-    claim_id, profile, collect_trace = task
-    if collect_trace:
-        tracer = trace.active()
-        if tracer is None or tracer.pid != os.getpid():
-            # Fresh tracer per worker: a tracer inherited through fork
-            # would stamp events with the parent's pid.
-            trace.enable(fresh=True)
-    return verify_claim(claim_id, profile, collect_trace=collect_trace)
-
-
-def run_claims(
-    claim_ids: "list[str]",
-    *,
-    profile: str = "full",
-    jobs: int = 1,
-    collect_trace: bool = False,
-) -> "list[ClaimResult]":
-    """Verify ``claim_ids`` under ``profile`` with up to ``jobs`` processes.
-
-    Results come back in the order requested regardless of completion
-    order.  ``jobs <= 1`` runs serially in-process (no pool), which
-    keeps monkeypatched registries and debuggers usable.
-    """
-    unknown = [c for c in claim_ids if c not in REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown experiment id(s): {', '.join(unknown)}")
-    if jobs <= 1 or len(claim_ids) <= 1:
-        return [verify_claim(cid, profile, collect_trace=collect_trace) for cid in claim_ids]
-    tasks = [(cid, profile, collect_trace) for cid in claim_ids]
-    ctx = pool_context()
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_worker, tasks, chunksize=1)

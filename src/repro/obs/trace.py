@@ -24,9 +24,10 @@ Two export formats:
   ``chrome://tracing``.  Events carry the recording process id, so
   traces merged across a pool render one track per worker.
 
-Every process keeps at most one active tracer (module global); the
-harness serializes worker events back through ``ClaimResult`` and the
-parent :meth:`Tracer.ingest`\\ s them before export.
+Every process keeps at most one active tracer (module global); pool
+workers ship their events back inside their results (see
+:func:`repro.obs.telemetry.worker_tracer`) and the parent
+:meth:`Tracer.ingest`\\ s them before export.
 """
 
 from __future__ import annotations
@@ -259,8 +260,9 @@ def is_enabled() -> bool:
 def enable(capacity: int = DEFAULT_CAPACITY, *, fresh: bool = False) -> Tracer:
     """Install (or return) the process tracer.
 
-    ``fresh=True`` replaces any existing tracer — pool workers use it so
-    a forked parent tracer (wrong pid, stale events) is discarded.
+    ``fresh=True`` replaces any existing tracer —
+    :func:`repro.obs.telemetry.worker_tracer` uses it so a forked
+    parent tracer (wrong pid, stale events) is discarded.
     """
     global _ACTIVE
     if _ACTIVE is None or fresh:

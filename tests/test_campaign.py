@@ -148,6 +148,11 @@ class TestSpec:
         with pytest.raises(SpecError, match=fragment):
             load_spec(write_spec(tmp_path, doc))
 
+    def test_duplicate_cell_ids_fail_expansion(self, tmp_path):
+        doc = {**SPEC_DOC, "grid": {"claim": ["e1", "e1"]}}
+        with pytest.raises(SpecError, match=r"cell e1-[0-9a-f]{10} more than once"):
+            load_spec(write_spec(tmp_path, doc))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="no such campaign spec"):
             load_spec(tmp_path / "absent.json")
@@ -510,13 +515,44 @@ class TestCampaignTelemetry:
         try:
             spec = load_spec(write_spec(tmp_path, FAKE_SPEC_DOC))
             run_campaign(spec, tmp_path / "s", jobs=2)
-            cell_spans = [
-                e for e in tracer.events() if e["name"] == "campaign.cell"
-            ]
+            cell_spans = [e for e in tracer.events() if e["name"] == "claim.e1"]
             assert len(cell_spans) == 4
+            assert {e["args"]["cell"] for e in cell_spans} == {
+                c.cell_id for c in spec.cells()
+            }
             assert len({e["pid"] for e in cell_spans}) >= 2, (
                 "expected spans from >= 2 pool workers"
             )
             assert trace.active() is tracer  # pool teardown left the parent tracer
         finally:
             obs.disable()
+
+    def test_pooled_trace_ships_step_series(self, tmp_path, capsys):
+        """A traced ``--jobs 2`` campaign exports every worker's step
+        series, each reconciling against its run's final stats."""
+        from repro import obs
+        from repro.obs.metrics import StepSeries
+
+        doc = {
+            "name": "e6-pair",
+            "profile": "quick",
+            "grid": {"claim": ["e6"], "seed": [0, 1]},
+            "check": False,  # the telemetry is under test, not the predicate
+        }
+        spec_path = write_spec(tmp_path, doc)
+        runs = {}
+        try:
+            for jobs in (1, 2):
+                tdir = tmp_path / f"trace{jobs}"
+                assert main([
+                    "campaign", "run", str(spec_path), "--jobs", str(jobs),
+                    "--store", str(tmp_path / f"s{jobs}"), "--trace", str(tdir),
+                ]) == 0
+                obs.disable()
+                runs[jobs] = json.loads((tdir / "series.json").read_text())["runs"]
+        finally:
+            obs.disable()
+        capsys.readouterr()
+        assert runs[1] and len(runs[2]) == len(runs[1])
+        for rec in runs[2]:
+            assert StepSeries.from_dict(rec).reconcile(rec["final_stats"]) == [], rec["name"]

@@ -104,6 +104,42 @@ class TestVerify:
         assert (results_env / "e1.json").exists()
         assert (results_env / "e5.json").exists()
 
+    def test_repeated_only_ids_run_once(self, capsys, results_env):
+        assert main(["verify", "--quick", "--only", "e1,e1,E1"]) == 0
+        assert "all 1 claims hold" in capsys.readouterr().out
+        manifest = results_env / "campaigns" / "verify-quick" / "manifest.jsonl"
+        assert len(manifest.read_text().splitlines()) == 1
+
+    def test_verify_store_answers_query_and_top(self, capsys, results_env):
+        assert main(["verify", "--quick", "--only", "e11,e1"]) == 0
+        capsys.readouterr()
+        store = results_env / "campaigns" / "verify-quick"
+        assert main([
+            "query", str(store), "--columns", "claim,passed", "--format", "csv",
+        ]) == 0
+        assert capsys.readouterr().out.split() == ["claim,passed", "e1,True", "e11,True"]
+        assert main(["top", str(store)]) == 0
+        assert "2/2 done" in capsys.readouterr().out
+
+    def test_rerun_replaces_the_verify_store(self, capsys, results_env):
+        assert main(["verify", "--quick", "--only", "e1,e11"]) == 0
+        assert main(["verify", "--quick", "--only", "e11"]) == 0
+        capsys.readouterr()
+        store = results_env / "campaigns" / "verify-quick"
+        lines = (store / "manifest.jsonl").read_text().splitlines()
+        assert [json.loads(line)["claim"] for line in lines] == ["e11"]
+
+    @pytest.mark.parametrize("content", [{"store.json": "{}"}, {"notes.txt": "mine"}])
+    def test_foreign_content_at_the_store_path_exits_2(self, capsys, results_env, content):
+        store = results_env / "campaigns" / "verify-quick"
+        store.mkdir(parents=True)
+        for name, text in content.items():
+            (store / name).write_text(text)
+        assert main(["verify", "--quick", "--only", "e1"]) == 2
+        assert "not a 'verify-quick' store" in capsys.readouterr().err
+        assert {p.name: p.read_text() for p in store.iterdir()} == content
+        assert not (results_env / "e1.json").exists()
+
 
 @pytest.fixture
 def obs_off_after():
@@ -145,17 +181,40 @@ class TestTraceCapture:
             series = StepSeries.from_dict(rec)
             assert series.reconcile(rec["final_stats"]) == [], rec["name"]
 
-    def test_verify_trace_section_in_results_json(self, capsys, results_env, tmp_path, obs_off_after):
+    def test_verify_trace_export_covers_the_claim(self, capsys, results_env, tmp_path, obs_off_after):
         tdir = tmp_path / "trace"
         assert main(["verify", "--quick", "--only", "e6", "--trace", str(tdir)]) == 0
         capsys.readouterr()
-        rec = json.loads((results_env / "e6.json").read_text())
-        assert rec["trace"]["events"], "claim result carries no span events"
-        assert rec["trace"]["series"], "claim result carries no step series"
-        names = {e["name"] for e in rec["trace"]["events"]}
-        assert "claim.e6" in names
-        assert "engine.step" in names
+        events = [json.loads(line) for line in (tdir / "trace.jsonl").read_text().splitlines()]
+        (claim_span,) = [e for e in events if e["name"] == "claim.e6"]
+        assert claim_span["args"]["cell"].startswith("e6-")
+        assert "engine.step" in {e["name"] for e in events}
+        assert json.loads((tdir / "series.json").read_text())["runs"], "no step series"
         assert (tdir / "trace.chrome.json").is_file()
+        assert "trace" not in json.loads((results_env / "e6.json").read_text())
+
+    def test_pooled_verify_trace_matches_serial(self, capsys, tmp_path, monkeypatch, obs_off_after):
+        """Pool workers ship their metrics and step series: a traced
+        ``--jobs 2`` verify exports what ``--jobs 1`` does."""
+        from repro import obs
+
+        exported = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / f"results{jobs}"))
+            tdir = tmp_path / f"trace{jobs}"
+            assert main([
+                "verify", "--quick", "--jobs", str(jobs), "--only", "e6,e1",
+                "--trace", str(tdir),
+            ]) == 0
+            obs.disable()
+            exported[jobs] = (
+                json.loads((tdir / "metrics.json").read_text())["counters"],
+                len(json.loads((tdir / "series.json").read_text())["runs"]),
+            )
+        capsys.readouterr()
+        counters, n_runs = exported[1]
+        assert counters["engine.steps"] > 0 and n_runs > 0
+        assert exported[2] == exported[1]
 
     def test_report_missing_dir_exits_2(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == 2
@@ -279,6 +338,11 @@ class TestTop:
         assert main(["top", str(tmp_path / "nope")]) == 2
         assert "store.json" in capsys.readouterr().err
 
+    def test_negative_watch_exits_2(self, capsys, tmp_path):
+        store = self._fake_store(tmp_path)
+        assert main(["top", str(store), "--watch", "-1"]) == 2
+        assert "--watch" in capsys.readouterr().err
+
     def test_top_store_without_telemetry(self, capsys, tmp_path):
         store = tmp_path / "store"
         store.mkdir()
@@ -326,3 +390,10 @@ class TestDynamicEventsIO:
         rc = main(["dynamic", "--n", "50", "--events-in", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "cannot load events" in capsys.readouterr().err
+
+
+class TestServeArgs:
+    @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+    def test_port_out_of_range_exits_2(self, capsys, port):
+        assert main(["serve", "--port", port]) == 2
+        assert "--port must be in 0..65535" in capsys.readouterr().err

@@ -1,4 +1,9 @@
-"""Tests for the claim-verification harness (registry, cache, results, runner)."""
+"""Tests for the claim-verification harness (registry, cache, results, runner).
+
+Claims execute through the campaign runner (``repro verify`` is a
+one-cell-per-claim campaign), so the runner tests drive ``run_cell``
+and the verify CLI.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +14,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.__main__ import main
+from repro.campaign import CampaignSpec, run_cell
 from repro.harness import cache as cache_mod
 from repro.harness.cache import SubstrateCache, points_digest
 from repro.harness.registry import REGISTRY, build_rows, resolve_ids
-from repro.harness.results import SCHEMA, ClaimResult, default_results_dir, jsonify, write_result
-from repro.harness.runner import run_claims, verify_claim
+from repro.harness.results import SCHEMA, default_results_dir, jsonify, write_result
+
+
+def verify_cell(claim_id: str, profile: str = "quick"):
+    """The one cell ``repro verify`` runs for ``claim_id``."""
+    spec = CampaignSpec(
+        name=f"verify-{profile}", profile=profile, grid={"claim": (claim_id,)}, fixed={}
+    )
+    (cell,) = spec.cells()
+    return cell
 
 
 class TestRegistry:
@@ -38,6 +53,11 @@ class TestRegistry:
         assert resolve_ids("e4, e7") == ["e4", "e7"]
         with pytest.raises(KeyError, match="e99"):
             resolve_ids("e1,e99")
+
+    def test_resolve_ids_collapses_repeats_in_first_seen_order(self):
+        assert resolve_ids("e1,e1,E1") == ["e1"]
+        assert resolve_ids("e7, e4,E7,e4") == ["e7", "e4"]
+        assert resolve_ids(" , ") == list(REGISTRY)  # no id named: no filter
 
     def test_build_rows_quick(self):
         rows = build_rows(REGISTRY["e1"], "quick")
@@ -104,16 +124,20 @@ class TestResults:
     def test_write_result_respects_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "redirected"))
         assert default_results_dir() == tmp_path / "redirected"
-        res = ClaimResult(
-            claim="e0", title="t", paper_ref="ref", profile="quick", seed=0,
-            params={}, rows=[{"v": np.float64(2.0)}], failures=[], runtime_seconds=0.1,
-        )
-        path = write_result(res)
+        cell = {
+            "cell": "e0-0123456789", "claim": "e0", "title": "t", "paper_ref": "ref",
+            "profile": "quick", "seed": 0, "overrides": {}, "params": {},
+            "rows": [{"v": np.float64(2.0)}], "n_rows": 1, "passed": True,
+            "failures": [], "runtime_seconds": 0.1, "cache": {}, "worker": {"pid": 1},
+        }
+        path = write_result(cell)
         assert path == tmp_path / "redirected" / "e0.json"
         rec = json.loads(path.read_text())
         assert rec["schema"] == SCHEMA
         assert rec["passed"] is True
         assert rec["n_rows"] == 1 and rec["rows"] == [{"v": 2.0}]
+        # cell/store bookkeeping stays out of the claim record
+        assert not {"cell", "overrides", "worker", "trace"} & set(rec)
 
     def test_default_results_dir_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
@@ -122,9 +146,11 @@ class TestResults:
 
 class TestRunner:
     def test_verify_claim_passes(self):
-        res = verify_claim("e1", "quick")
-        assert res.passed and res.rows and res.runtime_seconds >= 0
-        assert res.paper_ref == "Lemma 2.1"
+        rec = run_cell(verify_cell("e1"))
+        assert rec["passed"] and rec["rows"] and rec["runtime_seconds"] >= 0
+        assert rec["paper_ref"] == "Lemma 2.1"
+        assert rec["seed"] == REGISTRY["e1"].seed
+        assert rec["params"] == dict(REGISTRY["e1"].quick_params)
 
     def test_crashing_predicate_is_a_failure_not_a_crash(self, monkeypatch):
         def boom(rows, profile):
@@ -132,18 +158,27 @@ class TestRunner:
 
         broken = dataclasses.replace(REGISTRY["e1"], check=boom)
         monkeypatch.setitem(REGISTRY, "e1", broken)
-        res = verify_claim("e1", "quick")
-        assert not res.passed
-        assert "predicate raised RuntimeError" in res.failures[0]
+        rec = run_cell(verify_cell("e1"))
+        assert not rec["passed"]
+        assert "predicate raised RuntimeError" in rec["failures"][0]
 
-    def test_unknown_claim_rejected(self):
-        with pytest.raises(KeyError, match="e99"):
-            run_claims(["e99"])
+    def test_unknown_claim_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert main(["verify", "--quick", "--only", "e99"]) == 2
+        assert "e99" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
-    def test_parallel_matches_serial(self):
-        serial = run_claims(["e1", "e5"], profile="quick", jobs=1)
-        parallel = run_claims(["e1", "e5"], profile="quick", jobs=2)
-        assert [r.claim for r in parallel] == ["e1", "e5"]
-        for s, p in zip(serial, parallel):
-            assert s.rows == p.rows
-            assert s.failures == p.failures
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch, capsys):
+        keys = ("claim", "seed", "params", "rows", "n_rows", "passed", "failures")
+        out = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / f"jobs{jobs}"))
+            assert main(["verify", "--quick", "--jobs", str(jobs), "--only", "e1,e5"]) == 0
+            out[jobs] = [
+                json.loads((tmp_path / f"jobs{jobs}" / f"{cid}.json").read_text())
+                for cid in ("e1", "e5")
+            ]
+        capsys.readouterr()
+        assert [r["claim"] for r in out[2]] == ["e1", "e5"]
+        for s, p in zip(out[1], out[2]):
+            assert {k: s[k] for k in keys} == {k: p[k] for k in keys}
