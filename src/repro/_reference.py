@@ -19,15 +19,21 @@ from repro.geometry.primitives import TWO_PI, as_points
 from repro.geometry.sectors import SectorPartition
 from repro.graphs.base import GeometricGraph
 from repro.interference.conflict import interference_sets
-from repro.interference.model import interference_radius
-from repro.sim.packets import Transmission
+from repro.interference.model import InterferenceModel, interference_radius
 from repro.utils.arrays import run_starts
 
 __all__ = [
     "all_pairs_within_reference",
     "admissions_reference",
     "ConflictRowsReference",
+    "ReferenceStepRouter",
+    "anycast_apply_reference",
+    "anycast_decide_reference",
+    "balancing_apply_reference",
     "balancing_decide_reference",
+    "honeycomb_step_reference",
+    "mac_resolve_reference",
+    "records_of",
     "conflict_row_reference",
     "edge_rad2_reference",
     "interference_sets_reference",
@@ -193,6 +199,22 @@ def max_edge_stretch_reference(
     return max_edge_stretch
 
 
+# ---------------------------------------------------------------------------
+# The per-record routing step (pre-batch)
+#
+# Before transmissions became one struct-of-arrays batch, each step built
+# one record per attempt.  A record here is the plain tuple
+# ``(src, dst, dest, cost)``; for anycast ``dest`` is the group index.
+# ---------------------------------------------------------------------------
+
+
+def records_of(batch) -> "list[tuple[int, int, int, float]]":
+    """A :class:`~repro.sim.packets.TxBatch` as per-attempt records."""
+    return list(
+        zip(batch.src.tolist(), batch.dst.tolist(), batch.dest.tolist(), batch.cost.tolist())
+    )
+
+
 def balancing_decide_reference(
     heights: np.ndarray,
     destinations: np.ndarray,
@@ -200,7 +222,7 @@ def balancing_decide_reference(
     gamma: float,
     directed_edges: np.ndarray,
     costs: np.ndarray,
-) -> list[Transmission]:
+) -> "list[tuple[int, int, int, float]]":
     """Per-candidate loop of ``BalancingRouter.decide`` (pre-vectorization).
 
     ``heights`` is the ``(n_nodes, n_destinations)`` buffer matrix at
@@ -218,7 +240,7 @@ def balancing_decide_reference(
     best_val = diff[np.arange(len(edges)), best_col]
     candidates = np.nonzero(best_val > threshold)[0]
 
-    out: list[Transmission] = []
+    out: "list[tuple[int, int, int, float]]" = []
     for k in candidates:
         v, w = int(edges[k, 0]), int(edges[k, 1])
         row = h0[v, :] - h0[w, :] - gamma * costs[k]
@@ -230,10 +252,225 @@ def balancing_decide_reference(
         if masked[col] <= threshold:
             continue
         avail[v, col] -= 1
-        out.append(
-            Transmission(src=v, dst=w, dest=int(destinations[col]), cost=float(costs[k]))
-        )
+        out.append((v, w, int(destinations[col]), float(costs[k])))
     return out
+
+
+def balancing_apply_reference(router, records, success=None) -> int:
+    """Per-record ``BalancingRouter.apply``: commit one record at a time.
+
+    Accounting goes through ``RoutingStats.record_attempts`` as in the
+    router, so energy sums round the same way.  Each send is checked
+    against the buffer's step-start height, the router's invariant.
+    """
+    k = len(records)
+    success = (
+        np.ones(k, dtype=bool) if success is None else np.asarray(success, dtype=bool).reshape(-1)
+    )
+    if len(success) != k:
+        raise ValueError("success mask length mismatch")
+    if k == 0:
+        return 0
+    cost = np.fromiter((rec[3] for rec in records), dtype=np.float64, count=k)
+    cols = []
+    for rec in records:
+        if rec[2] not in router._dest_col:
+            raise KeyError(f"{rec[2]} is not a registered destination")
+        cols.append(router._dest_col[rec[2]])
+    router.stats.record_attempts(cost, success)
+    h = router.heights
+    h0 = h.copy()
+    sent: "dict[tuple[int, int], int]" = {}
+    delivered = 0
+    for (src, dst, dest, _), col, ok in zip(records, cols, success.tolist()):
+        if not ok:
+            continue
+        sent[src, col] = sent.get((src, col), 0) + 1
+        if sent[src, col] > h0[src, col]:
+            raise RuntimeError(
+                f"balancing invariant violated: sending from empty buffer Q_({src},{dest})"
+            )
+        h[src, col] -= 1
+        if dst == dest:
+            delivered += 1
+        else:
+            h[dst, col] += 1
+    if delivered:
+        router.stats.record_delivery(delivered)
+    return delivered
+
+
+def mac_resolve_reference(points: np.ndarray, delta: float, records) -> np.ndarray:
+    """Per-transmission §3.3 resolve: an O(k²) scan of attempt pairs.
+
+    Attempt i fails iff the guard region of another attempt on a
+    *different* undirected edge contains an endpoint of attempt i's
+    edge; the two directions of one edge never kill each other.
+    """
+    model = InterferenceModel(delta)
+    pts = np.asarray(points, dtype=np.float64)
+    und = [(min(r[0], r[1]), max(r[0], r[1])) for r in records]
+    ok = np.ones(len(records), dtype=bool)
+    for i, ei in enumerate(und):
+        for ej in und:
+            if ej != ei and model.region_contains(pts, ej, pts[list(ei)]).any():
+                ok[i] = False
+                break
+    return ok
+
+
+def anycast_decide_reference(router, directed_edges, costs) -> "list[tuple[int, int, int, float]]":
+    """``AnycastBalancingRouter.decide`` building one record per attempt."""
+    edges = np.asarray(directed_edges, dtype=np.intp).reshape(-1, 2)
+    costs = np.asarray(costs, dtype=np.float64).reshape(-1)
+    if len(edges) == 0:
+        return []
+    cfg = router.config
+    h0 = router.heights
+    avail = h0.copy()
+    out: "list[tuple[int, int, int, float]]" = []
+    diff = h0[edges[:, 0], :] - h0[edges[:, 1], :] - cfg.gamma * costs[:, None]
+    best_val = diff.max(axis=1)
+    for k in np.nonzero(best_val > cfg.threshold)[0]:
+        v, w = int(edges[k, 0]), int(edges[k, 1])
+        row = h0[v, :] - h0[w, :] - cfg.gamma * costs[k]
+        usable = avail[v, :] > 0
+        if not usable.any():
+            continue
+        masked = np.where(usable, row, -np.inf)
+        g = int(np.argmax(masked))
+        if masked[g] <= cfg.threshold:
+            continue
+        avail[v, g] -= 1
+        out.append((v, w, g, float(costs[k])))
+    return out
+
+
+def anycast_apply_reference(router, records, success=None) -> int:
+    """``AnycastBalancingRouter.apply`` committing one record at a time."""
+    if success is None:
+        success = np.ones(len(records), dtype=bool)
+    success = np.asarray(success, dtype=bool).reshape(-1)
+    if len(success) != len(records):
+        raise ValueError("success mask length mismatch")
+    delivered = 0
+    for (src, dst, g, cost), ok in zip(records, success):
+        router.stats.record_attempt(cost, bool(ok))
+        if not ok:
+            continue
+        if router.heights[src, g] <= 0:
+            raise RuntimeError("anycast invariant violated: empty buffer send")
+        router.heights[src, g] -= 1
+        if router.member[dst, g]:
+            delivered += 1
+            router.stats.record_delivery()
+        else:
+            router.heights[dst, g] += 1
+    return delivered
+
+
+class ReferenceStepRouter:
+    """An engine-drivable twin that steps a router the per-record way.
+
+    Wraps a production :class:`~repro.core.balancing.BalancingRouter`,
+    :class:`~repro.core.anycast.AnycastBalancingRouter` or
+    :class:`~repro.sim.tracking.TrackedBalancingRouter` and replaces
+    only :meth:`run_step` with the reference decide / resolve / apply;
+    ``success_fn`` receives the record list.  Every other attribute
+    (stats, heights, injection, buffer drops under churn) is the wrapped
+    router's.
+    """
+
+    def __init__(self, router) -> None:
+        self.router = router
+
+    def __getattr__(self, name):
+        return getattr(self.router, name)
+
+    def run_step(self, directed_edges, costs, injections=None, success_fn=None) -> int:
+        from repro.core.anycast import AnycastBalancingRouter
+        from repro.sim.tracking import TrackedBalancingRouter
+
+        r = self.router
+        inner = r.router if isinstance(r, TrackedBalancingRouter) else r
+        if isinstance(r, AnycastBalancingRouter):
+            records = anycast_decide_reference(r, directed_edges, costs)
+        else:
+            cfg = inner.config
+            records = balancing_decide_reference(
+                inner.heights, inner.destinations, cfg.threshold, cfg.gamma,
+                directed_edges, costs,
+            )
+        mask = None if success_fn is None else np.asarray(success_fn(records), dtype=bool)
+        if isinstance(r, AnycastBalancingRouter):
+            delivered = anycast_apply_reference(r, records, mask)
+            for node, group, count in injections or []:
+                r.inject(node, group, count)
+            r.stats.end_step(r.max_height(), delivered)
+            return delivered
+        delivered = balancing_apply_reference(inner, records, mask)
+        if isinstance(r, TrackedBalancingRouter):
+            return _tracked_finish(r, records, mask, injections, delivered)
+        for node, dest, count in injections or []:
+            inner.inject(node, dest, count)
+        inner.end_step(delivered)
+        return delivered
+
+
+def _tracked_finish(tracked, records, mask, injections, delivered) -> int:
+    """``TrackedBalancingRouter.run_step`` after apply, one record at a time."""
+    if mask is None:
+        mask = np.ones(len(records), dtype=bool)
+    for (src, dst, dest, _), ok in zip(records, mask):
+        if not ok:
+            continue
+        col = tracked._col(dest)
+        bucket = tracked._stamps[src][col]
+        if not bucket:
+            raise AssertionError(f"tracking drift at buffer ({src}, dest {dest})")
+        stamp = bucket.popleft()
+        if dst == dest:
+            tracked.delays.append(tracked._clock - stamp)
+        else:
+            tracked._stamps[dst][col].append(stamp)
+    for node, dest, count in injections or []:
+        accepted = tracked.router.inject(node, dest, count)
+        col = tracked._col(dest)
+        for _ in range(accepted):
+            tracked._stamps[node][col].append(tracked._clock)
+    tracked.router.end_step(delivered)
+    tracked._clock += 1
+    tracked._check_consistency()
+    return delivered
+
+
+def honeycomb_step_reference(hc, injections=None) -> int:
+    """``HoneycombRouter.step`` with the per-record decide and apply."""
+    contestants = hc.select_contestants()
+    if len(contestants):
+        coins = hc.rng.random(len(contestants)) < hc.config.p_transmit
+        chosen = contestants[coins]
+    else:
+        chosen = contestants
+    records: "list[tuple[int, int, int, float]]" = []
+    router = hc.router
+    if len(chosen):
+        edges = hc.directed_pairs[chosen]
+        costs = np.full(len(edges), hc.config.unit_cost)
+        cfg = router.config
+        records = balancing_decide_reference(
+            router.heights, router.destinations, cfg.threshold, cfg.gamma, edges, costs
+        )
+    if records:
+        pairs = np.asarray([(rec[0], rec[1]) for rec in records], dtype=np.intp)
+        mask = hc.independent_success_mask(pairs)
+    else:
+        mask = np.ones(0, dtype=bool)
+    delivered = balancing_apply_reference(router, records, mask)
+    for node, dest, count in injections or []:
+        router.inject(node, dest, count)
+    router.end_step(delivered)
+    return delivered
 
 
 def yao_choices_reference(inc, u: int) -> "dict[int, int]":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.campaign.spec import CampaignSpec, _spec_from_doc
+from repro.campaign.spec import CampaignSpec, SpecError, _spec_from_doc
 from repro.harness.results import jsonify
 
 STORE_SCHEMA = "repro-campaign-store/v1"
@@ -112,7 +112,12 @@ class CampaignStore:
                 f"{path}: unsupported store schema {doc.get('schema')!r} "
                 f"(want {STORE_SCHEMA})"
             )
-        pinned = _spec_from_doc(doc["spec"], origin=f"{path}:spec")
+        if "spec" not in doc:
+            raise StoreError(f"{path}: store.json pins no campaign spec")
+        try:
+            pinned = _spec_from_doc(doc["spec"], origin=f"{path}:spec")
+        except SpecError as exc:
+            raise StoreError(f"{path}: pinned spec is invalid ({exc})") from exc
         if spec is not None and spec.to_json() != pinned.to_json():
             raise StoreError(
                 f"store at {root} was created from a different spec "

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import metrics, trace
-from repro.sim.packets import Transmission
+from repro.sim.packets import TxBatch
 from repro.sim.stats import RoutingStats
+from repro.utils.arrays import run_starts, unique_counts, unique_inverse
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["BalancingConfig", "BalancingRouter"]
@@ -138,7 +139,7 @@ class BalancingRouter:
         self,
         directed_edges: np.ndarray,
         costs: np.ndarray,
-    ) -> list[Transmission]:
+    ) -> TxBatch:
         """Choose at most one packet per directed edge to move.
 
         Parameters
@@ -152,15 +153,16 @@ class BalancingRouter:
 
         Returns
         -------
-        The chosen transmissions.  Heights are *not* modified — call
-        :meth:`apply` with a success mask to commit the moves.
+        The chosen transmissions, in edge order.  Heights are *not*
+        modified — call :meth:`apply` with a success mask to commit the
+        moves.
         """
         edges = np.asarray(directed_edges, dtype=np.intp).reshape(-1, 2)
         costs = np.asarray(costs, dtype=np.float64).reshape(-1)
         if len(edges) != len(costs):
             raise ValueError("directed_edges and costs must have equal length")
         if len(edges) == 0:
-            return []
+            return TxBatch.empty()
         cfg = self.config
         h0 = self.heights  # beginning-of-step heights for decisions
         ncols = h0.shape[1]
@@ -168,116 +170,119 @@ class BalancingRouter:
         # Vectorized candidate selection: for all edges at once compute
         # the best destination column and its potential drop.
         diff = h0[edges[:, 0], :] - h0[edges[:, 1], :] - cfg.gamma * costs[:, None]
-        best_col = np.argmax(diff, axis=1)
-        best_val = diff[np.arange(len(edges)), best_col]
-        candidates = np.nonzero(best_val > cfg.threshold)[0]
+        candidates = np.flatnonzero(diff.max(axis=1) > cfg.threshold)
         if len(candidates) == 0:
-            return []
+            return TxBatch.empty()
         src = edges[candidates, 0]
-        chosen_col = best_col[candidates]
+        chosen_col = diff[candidates].argmax(axis=1)
 
         # A candidate's best column always has a packet at step start
         # (drop > threshold ≥ 0 forces h0[v, col] ≥ 1), so the chosen
         # columns stand as long as no buffer is over-demanded: each pick
         # then still finds its first-argmax column available.  One
         # grouped count per touched buffer detects the exception.
-        buf = src * np.intp(ncols) + chosen_col
-        uniq, cnt = np.unique(buf, return_counts=True)
-        supply = h0[uniq // ncols, uniq % ncols]
-        over = cnt > supply
+        uniq, cnt = unique_counts(src * np.intp(ncols) + chosen_col)
+        over = cnt > h0[np.divmod(uniq, ncols)]
         if over.any():
-            # Rare path: some buffer has more takers than packets.  Redo
-            # only the candidates of the affected sources with the exact
-            # sequential semantics (edge order, per-buffer claims);
-            # other sources are unaffected because availability only
-            # couples candidates sharing a source.
-            bad_sources = np.unique(uniq[over] // ncols)
-            redo = np.nonzero(np.isin(src, bad_sources))[0]
+            # Some buffer has more takers than packets.  Redo the
+            # candidates of the affected sources with the sequential
+            # semantics: each source claims packets in edge order, every
+            # pick taking the best column its earlier picks left
+            # available.  Sources do not couple, so round r settles the
+            # r-th redone candidate of every affected source at once.
+            redo = np.flatnonzero(np.isin(src, uniq[over] // ncols))
+            sources, row_of = unique_inverse(src[redo])
+            avail = h0[sources]
+            drops = diff[candidates[redo]]
+            order = np.argsort(row_of, kind="stable")
+            first = run_starts(row_of[order])
+            rank = np.empty(len(redo), dtype=np.intp)
+            rank[order] = np.arange(len(redo)) - np.flatnonzero(first)[np.cumsum(first) - 1]
             keep = np.ones(len(candidates), dtype=bool)
-            avail: dict[int, np.ndarray] = {}
-            for i in redo.tolist():
-                k = int(candidates[i])
-                v, w = int(edges[k, 0]), int(edges[k, 1])
-                arow = avail.get(v)
-                if arow is None:
-                    arow = h0[v, :].copy()
-                    avail[v] = arow
-                row = h0[v, :] - h0[w, :] - cfg.gamma * costs[k]
-                usable = arow > 0
-                if not usable.any():
-                    keep[i] = False
-                    continue
-                masked = np.where(usable, row, -np.inf)
-                col = int(np.argmax(masked))
-                if masked[col] <= cfg.threshold:
-                    keep[i] = False
-                    continue
-                arow[col] -= 1
-                chosen_col[i] = col
+            for r in range(int(rank.max()) + 1):
+                sel = np.flatnonzero(rank == r)
+                rows = row_of[sel]
+                masked = np.where(avail[rows] > 0, drops[sel], -np.inf)
+                col = masked.argmax(axis=1)
+                ok = masked[np.arange(len(sel)), col] > cfg.threshold
+                keep[redo[sel]] = ok
+                chosen_col[redo[sel[ok]]] = col[ok]
+                avail[rows[ok], col[ok]] -= 1
             candidates = candidates[keep]
             chosen_col = chosen_col[keep]
+            src = src[keep]
 
-        dests = self.destinations[chosen_col]
-        return [
-            Transmission(src=v, dst=w, dest=d, cost=c)
-            for (v, w), d, c in zip(
-                edges[candidates].tolist(),
-                dests.tolist(),
-                costs[candidates].tolist(),
-            )
-        ]
+        return TxBatch(
+            src,
+            edges[candidates, 1],
+            chosen_col,
+            self.destinations[chosen_col],
+            costs[candidates],
+        )
 
     # ------------------------------------------------------------------
     # Step phase 2: commit moves, absorb, inject
     # ------------------------------------------------------------------
     def apply(
         self,
-        transmissions: list[Transmission],
+        batch: TxBatch,
         success: "np.ndarray | None" = None,
     ) -> int:
-        """Commit transmissions; returns the number of packets absorbed.
+        """Commit a transmission batch; returns the number of packets absorbed.
 
         Parameters
         ----------
+        batch:
+            The attempts, as :meth:`decide` returns them; ``batch.col``
+            must be ``batch.dest``'s column of :attr:`destinations`.
         success:
             Optional boolean mask (e.g. from the interference model);
             failed attempts consume energy but do not move the packet
             (retransmission semantics of §3.3).
         """
+        k = len(batch)
         if success is None:
-            success = np.ones(len(transmissions), dtype=bool)
+            success = np.ones(k, dtype=bool)
         success = np.asarray(success, dtype=bool).reshape(-1)
-        if len(success) != len(transmissions):
+        if len(success) != k:
             raise ValueError("success mask length mismatch")
-        k = len(transmissions)
         if k == 0:
             return 0
-        src = np.fromiter((tx.src for tx in transmissions), dtype=np.intp, count=k)
-        dst = np.fromiter((tx.dst for tx in transmissions), dtype=np.intp, count=k)
-        dest = np.fromiter((tx.dest for tx in transmissions), dtype=np.intp, count=k)
-        cost = np.fromiter((tx.cost for tx in transmissions), dtype=np.float64, count=k)
-        col = np.searchsorted(self.destinations, dest)
-        col[col == len(self.destinations)] = 0
-        bad = self.destinations[col] != dest
-        if bad.any():
-            raise KeyError(f"{int(dest[np.nonzero(bad)[0][0]])} is not a registered destination")
+        ncols = len(self.destinations)
+        col, dest = batch.col, batch.dest
+        if int(col.min()) < 0 or int(col.max()) >= ncols:
+            raise KeyError(f"batch columns must lie in [0, {ncols}), got {col.tolist()}")
+        wrong = self.destinations[col] != dest
+        if wrong.any():
+            i = int(np.flatnonzero(wrong)[0])
+            d = int(dest[i])
+            if d not in self._dest_col:
+                raise KeyError(f"{d} is not a registered destination")
+            raise ValueError(
+                f"batch column {int(col[i])} holds destination "
+                f"{int(self.destinations[col[i]])}, not {d}"
+            )
 
-        self.stats.record_attempts(cost, success)
-        src_ok, dst_ok, col_ok = src[success], dst[success], col[success]
+        if success.all():
+            src_ok, dst_ok, col_ok, dest_ok = batch.src, batch.dst, col, dest
+        else:
+            src_ok, dst_ok = batch.src[success], batch.dst[success]
+            col_ok, dest_ok = col[success], dest[success]
+        h = self.heights
+        np.subtract.at(h, (src_ok, col_ok), 1)
         # Invariant: no buffer sends more packets than it held at the
         # start of the step (decide() guarantees this by construction).
-        buf, cnt = np.unique(src_ok * np.intp(self.heights.shape[1]) + col_ok, return_counts=True)
-        b_row, b_col = buf // self.heights.shape[1], buf % self.heights.shape[1]
-        short = cnt > self.heights[b_row, b_col]
+        short = h[src_ok, col_ok] < 0
         if short.any():
-            v = int(b_row[np.nonzero(short)[0][0]])
-            d = int(self.destinations[b_col[np.nonzero(short)[0][0]]])
+            np.add.at(h, (src_ok, col_ok), 1)
+            first = int(np.flatnonzero(short)[0])
+            v, d = int(src_ok[first]), int(dest_ok[first])
             raise RuntimeError(
                 f"balancing invariant violated: sending from empty buffer Q_({v},{d})"
             )
-        np.subtract.at(self.heights, (src_ok, col_ok), 1)
-        absorbed = dst_ok == dest[success]
-        np.add.at(self.heights, (dst_ok[~absorbed], col_ok[~absorbed]), 1)
+        self.stats.record_attempts(batch.cost, success)
+        absorbed = dst_ok == dest_ok
+        np.add.at(h, (dst_ok[~absorbed], col_ok[~absorbed]), 1)
         delivered = int(np.count_nonzero(absorbed))
         if delivered:
             self.stats.record_delivery(delivered)
@@ -320,7 +325,7 @@ class BalancingRouter:
         injections:
             List of ``(node, dest, count)`` tuples offered this step.
         success_fn:
-            Optional callable mapping the chosen transmissions to a
+            Optional callable mapping the chosen :class:`TxBatch` to a
             boolean success mask (interference resolution).
 
         Returns

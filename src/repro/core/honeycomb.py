@@ -35,7 +35,7 @@ from scipy.spatial import cKDTree
 from repro.core.balancing import BalancingConfig, BalancingRouter
 from repro.geometry.hexgrid import HexGrid
 from repro.geometry.primitives import as_points
-from repro.sim.packets import Transmission
+from repro.sim.packets import TxBatch
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_in_range, check_nonnegative
 
@@ -202,17 +202,14 @@ class HoneycombRouter:
             chosen = contestants[coins]
         else:
             chosen = contestants
-        txs: list[Transmission] = []
         if len(chosen):
             edges = self.directed_pairs[chosen]
             costs = np.full(len(edges), self.config.unit_cost)
-            txs = self.router.decide(edges, costs)
-        if txs:
-            tx_pairs = np.asarray([(t.src, t.dst) for t in txs], dtype=np.intp)
-            mask = self.independent_success_mask(tx_pairs)
+            batch = self.router.decide(edges, costs)
         else:
-            mask = np.ones(0, dtype=bool)
-        delivered = self.router.apply(txs, mask)
+            batch = TxBatch.empty()
+        mask = self.independent_success_mask(np.column_stack([batch.src, batch.dst]))
+        delivered = self.router.apply(batch, mask)
         for node, dest, count in injections or []:
             self.router.inject(node, dest, count)
         self.router.end_step(delivered)

@@ -22,7 +22,7 @@ from repro.graphs.base import GeometricGraph
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel
 from repro.obs import metrics, trace
-from repro.sim.packets import Transmission
+from repro.sim.packets import TxBatch
 from repro.utils.rng import as_rng
 
 __all__ = ["estimate_edge_interference", "RandomActivationMAC"]
@@ -153,28 +153,18 @@ class RandomActivationMAC:
             reg.counter("mac.activated_edges").inc(len(e))
         return directed, costs
 
-    def success_mask(self, transmissions: list[Transmission]) -> np.ndarray:
+    def success_mask(self, batch: TxBatch) -> np.ndarray:
         """Resolve interference among the attempted transmissions.
 
         Both directions of one undirected edge belong to the same
         bidirectional exchange and never kill each other; distinct edges
         interfere per the guard-zone model.
         """
-        k = len(transmissions)
+        k = len(batch)
         if k == 0:
             return np.ones(0, dtype=bool)
         with trace.span("mac.resolve", attempts=k) as sp:
-            # Collapse to undirected edges for the pairwise check.
-            und = np.asarray(
-                [(min(t.src, t.dst), max(t.src, t.dst)) for t in transmissions], dtype=np.intp
-            )
-            uniq, inverse = np.unique(und, axis=0, return_inverse=True)
-            mat = self._model.interference_matrix(self.graph.points, uniq)
-            if mat.size:
-                edge_ok = ~mat.any(axis=1)
-            else:
-                edge_ok = np.ones(len(uniq), dtype=bool)
-            ok = edge_ok[inverse]
+            ok = self._model.resolve_codes(self.graph.points, batch.edge_codes())
             sp.set(succeeded=int(np.count_nonzero(ok)))
         reg = metrics.active()
         if reg is not None:

@@ -1032,26 +1032,17 @@ class DynamicMAC:
             reg.counter("mac.activated_edges").inc(len(e))
         return directed, costs
 
-    def success_mask(self, transmissions) -> np.ndarray:
-        """Resolve guard-zone interference among the attempts.
+    def success_mask(self, batch) -> np.ndarray:
+        """Resolve guard-zone interference among a :class:`~repro.sim.packets.TxBatch`.
 
         Same semantics as ``RandomActivationMAC.success_mask``, evaluated
         on the *live* maintained positions (global-id space).
         """
-        k = len(transmissions)
+        k = len(batch)
         if k == 0:
             return np.ones(0, dtype=bool)
         with trace.span("mac.resolve", attempts=k) as sp:
-            und = np.asarray(
-                [(min(t.src, t.dst), max(t.src, t.dst)) for t in transmissions], dtype=np.intp
-            )
-            uniq, inverse = np.unique(und, axis=0, return_inverse=True)
-            mat = self._model.interference_matrix(self.inc.all_positions(), uniq)
-            if mat.size:
-                edge_ok = ~mat.any(axis=1)
-            else:
-                edge_ok = np.ones(len(uniq), dtype=bool)
-            ok = edge_ok[inverse]
+            ok = self._model.resolve_codes(self.inc.all_positions(), batch.edge_codes())
             sp.set(succeeded=int(np.count_nonzero(ok)))
         reg = metrics.active()
         if reg is not None:

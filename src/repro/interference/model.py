@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.primitives import as_points
+from repro.utils.arrays import unique_inverse
 from repro.utils.validation import check_nonnegative
 
 __all__ = [
@@ -102,20 +103,34 @@ class InterferenceModel:
         m = len(e)
         if m == 0:
             return np.zeros((0, 0), dtype=bool)
-        ax, ay = pts[e[:, 0]], pts[e[:, 1]]
-        lengths = np.hypot(ax[:, 0] - ay[:, 0], ax[:, 1] - ay[:, 1])
-        radii = interference_radius(lengths, self.delta)
-
-        def dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-            return np.hypot(p[:, None, 0] - q[None, :, 0], p[:, None, 1] - q[None, :, 1])
-
+        # Endpoints stacked as [first endpoints; second endpoints], and
+        # every endpoint-to-endpoint distance in one (2m, 2m) block.
+        x, y = pts[e.T.reshape(-1)].T
+        d = np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
+        # |xy| of edge i is the distance between its two endpoints.
+        radii = interference_radius(d[np.arange(m), np.arange(m, 2 * m)], self.delta)
         # out[i, j]: an endpoint of edge i inside a guard disk of edge j.
-        dmin = np.minimum.reduce(
-            [dist(ax, ax), dist(ax, ay), dist(ay, ax), dist(ay, ay)]
-        )
-        out = dmin < radii[None, :]
+        dmin = np.minimum(d[:m], d[m:])
+        out = np.minimum(dmin[:, :m], dmin[:, m:]) < radii
         np.fill_diagonal(out, False)
         return out
+
+    def resolve_codes(self, points: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """§3.3 resolve of one step's attempts, given as packed edge codes.
+
+        ``codes[i]`` is attempt i's undirected edge ``(lo << 32) | hi``.
+        Attempts on one edge (its two directions) form one bidirectional
+        exchange and never kill each other; an attempt succeeds iff no
+        *other* attempted edge's guard region touches an endpoint of its
+        edge.  Returns the per-attempt success mask.
+        """
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+        if len(codes) == 0:
+            return np.ones(0, dtype=bool)
+        uniq, inverse = unique_inverse(codes)
+        edges = np.column_stack([uniq >> 32, uniq & 0xFFFFFFFF])
+        edge_ok = ~self.interference_matrix(points, edges).any(axis=1)
+        return edge_ok[inverse]
 
     def successful_mask(self, points: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Success of each simultaneous transmission among ``edges``.

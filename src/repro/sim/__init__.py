@@ -6,7 +6,7 @@ decides which packets move, packets are received/absorbed, and new
 injections arrive (dropped if the destination buffer is full).  This
 package provides:
 
-* :mod:`repro.sim.packets` — injection/transmission records;
+* :mod:`repro.sim.packets` — injection records and the per-step transmission batch;
 * :mod:`repro.sim.stats` — throughput/energy/buffer accounting;
 * :mod:`repro.sim.adversary` — adversarial injection + edge-activation
   generators, including *witnessed* adversaries that certify an OPT
@@ -20,7 +20,7 @@ package provides:
 * :mod:`repro.sim.engine` — the step loop tying everything together.
 """
 
-from repro.sim.packets import Injection, Transmission
+from repro.sim.packets import Injection, TxBatch
 from repro.sim.stats import RoutingStats
 from repro.sim.schedules import Schedule, validate_schedule, schedules_conflict_free
 from repro.sim.adversary import (
@@ -53,7 +53,7 @@ from repro.sim.engine import SimulationEngine, SimulationResult
 
 __all__ = [
     "Injection",
-    "Transmission",
+    "TxBatch",
     "RoutingStats",
     "Schedule",
     "validate_schedule",

@@ -69,7 +69,9 @@ class SimulationEngine:
     injections_fn:
         ``t → iterable of (node, dest, count)``; optional (no traffic).
     success_fn:
-        Optional ``transmissions → bool mask`` (interference layer).
+        Optional ``TxBatch → bool mask`` (interference layer): called
+        once per step with the router's attempts as one
+        :class:`~repro.sim.packets.TxBatch`.
     step_series:
         Optional explicit per-step recorder; when omitted one is created
         automatically for each :meth:`run` while tracing is enabled.

@@ -57,27 +57,30 @@ class TrackedBalancingRouter:
     # ------------------------------------------------------------------
     def run_step(self, directed_edges, costs, injections=None, success_fn=None) -> int:
         """One synchronous step with identity bookkeeping."""
-        txs = self.router.decide(directed_edges, costs)
-        mask = None if success_fn is None else np.asarray(success_fn(txs), dtype=bool)
+        batch = self.router.decide(directed_edges, costs)
+        mask = None if success_fn is None else np.asarray(success_fn(batch), dtype=bool)
         if mask is None:
-            mask = np.ones(len(txs), dtype=bool)
-        delivered = self.router.apply(txs, mask)
-        for tx, ok in zip(txs, mask):
-            if not ok:
-                continue
-            col = self._col(tx.dest)
-            bucket = self._stamps[tx.src][col]
+            mask = np.ones(len(batch), dtype=bool)
+        delivered = self.router.apply(batch, mask)
+        moved = zip(
+            batch.src[mask].tolist(),
+            batch.dst[mask].tolist(),
+            batch.col[mask].tolist(),
+            batch.dest[mask].tolist(),
+        )
+        for src, dst, col, dest in moved:
+            bucket = self._stamps[src][col]
             if not bucket:
                 raise AssertionError(
-                    f"tracking drift at buffer ({tx.src}, dest {tx.dest}): "
+                    f"tracking drift at buffer ({src}, dest {dest}): "
                     "no timestamp for a departing packet — was the wrapped "
                     "router mutated directly?"
                 )
             stamp = bucket.popleft()
-            if tx.dst == tx.dest:
+            if dst == dest:
                 self.delays.append(self._clock - stamp)
             else:
-                self._stamps[tx.dst][col].append(stamp)
+                self._stamps[dst][col].append(stamp)
         for node, dest, count in injections or []:
             accepted = self.router.inject(node, dest, count)
             col = self._col(dest)

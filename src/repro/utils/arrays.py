@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ragged_arange", "run_starts", "sorted_unique", "unique_inverse"]
+__all__ = ["ragged_arange", "run_starts", "sorted_unique", "unique_counts", "unique_inverse"]
 
 
 def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -62,6 +62,20 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     """
     xs = np.sort(x)
     return xs[run_starts(xs)]
+
+
+def unique_counts(x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``np.unique(x, return_counts=True)`` for a 1-D integer array.
+
+    One plain sort: ``uniq`` sorted ascending, ``counts[i]`` the number
+    of occurrences of ``uniq[i]``.
+    """
+    xs = np.sort(x)
+    starts = np.flatnonzero(run_starts(xs))
+    counts = np.empty(len(starts), dtype=np.intp)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(xs) - starts[-1:]
+    return xs[starts], counts
 
 
 def unique_inverse(x: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

@@ -403,6 +403,22 @@ class TestCampaignCli:
         assert main(["query", str(tmp_path / "nope")]) == 2
         assert "query:" in capsys.readouterr().err
 
+    def test_query_invalid_pinned_spec_exits_2(self, small_store, capsys):
+        doc = json.loads((small_store / "store.json").read_text())
+        doc["spec"]["grid"] = {"claim": []}
+        (small_store / "store.json").write_text(json.dumps(doc))
+        assert main(["query", str(small_store)]) == 2
+        err = capsys.readouterr().err
+        assert "query:" in err and "store.json" in err and "pinned spec is invalid" in err
+
+    def test_query_store_without_spec_exits_2(self, small_store, capsys):
+        doc = json.loads((small_store / "store.json").read_text())
+        del doc["spec"]
+        (small_store / "store.json").write_text(json.dumps(doc))
+        assert main(["query", str(small_store)]) == 2
+        err = capsys.readouterr().err
+        assert "query:" in err and "pins no campaign spec" in err
+
     def test_query_bad_where_exits_2(self, small_store, capsys):
         assert main(["query", str(small_store), "--where", "???"]) == 2
         assert "malformed" in capsys.readouterr().err

@@ -116,7 +116,7 @@ class TestCostAwareness:
         r = AnycastBalancingRouter(2, [[1]], BalancingConfig(0.0, 10.0, 64))
         r.inject(0, 0, 3)
         edges = np.array([[0, 1]])
-        assert r.decide(edges, np.array([1.0])) == []
+        assert len(r.decide(edges, np.array([1.0]))) == 0
         assert len(r.decide(edges, np.array([0.01]))) == 1
 
     def test_failed_transmission_retained(self):

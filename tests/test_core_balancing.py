@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balancing import BalancingConfig, BalancingRouter
-from repro.sim.packets import Transmission
+from repro.sim.packets import TxBatch
 
 
 def two_node_router(T=0.0, gamma=0.0, H=100) -> BalancingRouter:
@@ -72,23 +72,23 @@ class TestDecide:
         r.inject(0, 1, 2)
         txs = r.decide(EDGE_01, COST_1)
         assert len(txs) == 1
-        assert (txs[0].src, txs[0].dst, txs[0].dest) == (0, 1, 1)
+        assert (txs.src[0], txs.dst[0], txs.dest[0], txs.col[0]) == (0, 1, 1, 0)
 
     def test_threshold_blocks(self):
         r = two_node_router(T=5.0)
         r.inject(0, 1, 3)  # gradient 3 ≤ T
-        assert r.decide(EDGE_01, COST_1) == []
+        assert len(r.decide(EDGE_01, COST_1)) == 0
 
     def test_gamma_prices_cost(self):
         r = two_node_router(T=0.0, gamma=10.0)
         r.inject(0, 1, 3)  # gradient 3; γ·c = 10 > 3 → blocked
-        assert r.decide(EDGE_01, COST_1) == []
+        assert len(r.decide(EDGE_01, COST_1)) == 0
         # Cheap edge passes.
         assert len(r.decide(EDGE_01, np.array([0.1]))) == 1
 
     def test_no_send_from_empty_buffer(self):
         r = two_node_router()
-        assert r.decide(EDGE_01, COST_1) == []
+        assert len(r.decide(EDGE_01, COST_1)) == 0
 
     def test_both_directions_evaluated(self):
         r = BalancingRouter(2, [0, 1], BalancingConfig(0.0, 0.0, 100))
@@ -97,7 +97,7 @@ class TestDecide:
         both = np.array([[0, 1], [1, 0]])
         txs = r.decide(both, np.array([1.0, 1.0]))
         assert len(txs) == 2
-        assert {(t.src, t.dst) for t in txs} == {(0, 1), (1, 0)}
+        assert set(zip(txs.src.tolist(), txs.dst.tolist())) == {(0, 1), (1, 0)}
 
     def test_contention_capped_by_availability(self):
         """Two edges draining one buffer with one packet: single send."""
@@ -112,7 +112,7 @@ class TestDecide:
         # Buffers at node 0: dest-1 height 5.
         r.inject(0, 1, 5)
         txs = r.decide(EDGE_01, COST_1)
-        assert txs[0].dest == 1
+        assert txs.dest[0] == 1
 
     def test_decide_does_not_mutate_heights(self):
         r = two_node_router()
@@ -165,9 +165,25 @@ class TestApply:
 
     def test_sending_from_empty_buffer_raises(self):
         r = two_node_router()
-        fake = [Transmission(src=0, dst=1, dest=1, cost=1.0)]
+        fake = TxBatch(src=[0], dst=[1], col=[0], dest=[1], cost=[1.0])
         with pytest.raises(RuntimeError):
             r.apply(fake)
+
+    def test_unregistered_destination_raises(self):
+        r = two_node_router()  # destinations = [1]
+        r.inject(0, 1, 1)
+        with pytest.raises(KeyError):
+            r.apply(TxBatch(src=[0], dst=[1], col=[0], dest=[0], cost=[1.0]))
+        with pytest.raises(KeyError):
+            r.apply(TxBatch(src=[0], dst=[1], col=[1], dest=[1], cost=[1.0]))
+        assert r.height(0, 1) == 1 and r.stats.attempts == 0
+
+    def test_column_destination_mismatch_raises(self):
+        r = BalancingRouter(3, [1, 2], BalancingConfig(0.0, 0.0, 100))
+        r.inject(0, 1, 1)
+        with pytest.raises(ValueError):
+            r.apply(TxBatch(src=[0], dst=[1], col=[1], dest=[1], cost=[1.0]))
+        assert r.height(0, 1) == 1 and r.stats.attempts == 0
 
 
 class TestConservation:

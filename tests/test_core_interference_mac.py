@@ -8,7 +8,7 @@ import pytest
 from repro.core.interference_mac import RandomActivationMAC, estimate_edge_interference
 from repro.graphs.base import GeometricGraph
 from repro.interference.conflict import interference_sets
-from repro.sim.packets import Transmission
+from repro.sim.packets import TxBatch
 
 
 @pytest.fixture
@@ -98,19 +98,13 @@ class TestActivation:
 class TestSuccessMask:
     def test_same_edge_both_directions_compatible(self, line5):
         mac = RandomActivationMAC(line5, 0.5, rng=0)
-        txs = [
-            Transmission(0, 1, 4, 1.0),
-            Transmission(1, 0, 4, 1.0),
-        ]
+        txs = TxBatch(src=[0, 1], dst=[1, 0], col=[0, 0], dest=[4, 4], cost=[1.0, 1.0])
         mask = mac.success_mask(txs)
         assert mask.all()
 
     def test_adjacent_edges_fail(self, line5):
         mac = RandomActivationMAC(line5, 0.5, rng=0)
-        txs = [
-            Transmission(0, 1, 4, 1.0),
-            Transmission(1, 2, 4, 1.0),
-        ]
+        txs = TxBatch(src=[0, 1], dst=[1, 2], col=[0, 0], dest=[4, 4], cost=[1.0, 1.0])
         mask = mac.success_mask(txs)
         assert not mask.any()
 
@@ -118,12 +112,12 @@ class TestSuccessMask:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [20.0, 0.0], [21.0, 0.0]])
         g = GeometricGraph(pts, [(0, 1), (2, 3)])
         mac = RandomActivationMAC(g, 0.5, rng=0)
-        txs = [Transmission(0, 1, 3, 1.0), Transmission(2, 3, 0, 1.0)]
+        txs = TxBatch(src=[0, 2], dst=[1, 3], col=[0, 1], dest=[3, 0], cost=[1.0, 1.0])
         assert mac.success_mask(txs).all()
 
     def test_empty(self, line5):
         mac = RandomActivationMAC(line5, 0.5, rng=0)
-        assert len(mac.success_mask([])) == 0
+        assert len(mac.success_mask(TxBatch.empty())) == 0
 
 
 class TestLemma32:

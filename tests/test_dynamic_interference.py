@@ -148,15 +148,12 @@ class TestDynamicMAC:
             assert (min(a, b), max(a, b)) in edge_set
 
     def test_success_mask_resolves_on_live_positions(self):
-        from repro.sim.packets import Transmission
+        from repro.sim.packets import TxBatch
 
         pts, d0, inc, di = _pair(60, 13)
         mac = DynamicMAC(di, rng=2)
-        edges = inc.edge_array()
-        tx = [
-            Transmission(src=int(a), dst=int(b), dest=int(b), cost=1.0)
-            for a, b in edges[:4].tolist()
-        ]
+        edges = inc.edge_array()[:4]
+        tx = TxBatch(edges[:, 0], edges[:, 1], np.zeros(4), edges[:, 1], np.ones(4))
         ok = mac.success_mask(tx)
         assert ok.shape == (len(tx),) and ok.dtype == bool
 

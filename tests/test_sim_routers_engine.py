@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.routing_experiments import ring_graph
 from repro.core.balancing import BalancingConfig, BalancingRouter
+from repro.core.interference_mac import RandomActivationMAC
 from repro.graphs.base import GeometricGraph
 from repro.sim.adversary import stream_scenario
 from repro.sim.baseline_routers import RandomWalkRouter, ShortestPathRouter
@@ -16,6 +17,7 @@ from repro.sim.mobility import (
     RandomWaypointMobility,
     StaticMobility,
 )
+from repro.sim.packets import TxBatch
 
 
 def line_graph(n: int) -> GeometricGraph:
@@ -95,6 +97,77 @@ class TestRandomWalkRouter:
         assert r.stats.accepted == r.stats.delivered + r.total_packets() + r.stats.dropped - (
             r.stats.injected - r.stats.accepted
         )
+
+
+class TestBaselineRoutersUnderMAC:
+    """The queue routers hand their attempts to ``success_fn`` as one batch."""
+
+    def _grid(self):
+        xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        edges = [(i, i + 1) for i in range(25) if (i + 1) % 5]
+        edges += [(i, i + 5) for i in range(20)]
+        return GeometricGraph(pts, edges)
+
+    @pytest.mark.parametrize(
+        "make", [ShortestPathRouter, lambda g: RandomWalkRouter(g, rng=4)], ids=["spr", "walk"]
+    )
+    def test_random_activation_mac_is_applied(self, make):
+        g = self._grid()
+        mac = RandomActivationMAC(g, 0.5, rng=1)
+        router = make(g)
+        seen = []
+
+        def resolve(batch):
+            assert isinstance(batch, TxBatch)
+            seen.append(len(batch))
+            return mac.success_mask(batch)
+
+        def injections(t):
+            return [(0, 24, 1), (20, 4, 1), (12, 0, 1)] if t < 30 else []
+
+        engine = SimulationEngine(
+            router, lambda t: mac.active_edges(), injections, success_fn=resolve
+        )
+        result = engine.run(60, drain=400)
+        st = result.stats
+        assert len(seen) == 460 and sum(seen) == st.attempts
+        # The MAC killed some attempts; their packets stayed queued and
+        # were retransmitted, so nothing was lost.
+        assert st.interference_failures > 0
+        assert st.successes == st.attempts - st.interference_failures
+        assert st.accepted == st.delivered + result.leftover + st.dropped - (
+            st.injected - st.accepted
+        )
+        assert st.delivered > 0
+
+    @pytest.mark.parametrize(
+        "make", [ShortestPathRouter, lambda g: RandomWalkRouter(g, rng=0)], ids=["spr", "walk"]
+    )
+    def test_failed_attempt_charges_energy_and_keeps_packet(self, make):
+        g = line_graph(3)
+        r = make(g)
+        r.inject(0, 2, 2)
+        edges = g.directed_edge_array()
+        costs = np.full(len(edges), 0.5)
+        for _ in range(20):
+            r.run_step(edges, costs, success_fn=lambda b: np.zeros(len(b), dtype=bool))
+        assert r.total_packets() == 2 and list(r.queues[0]) == [2, 2]
+        assert r.stats.attempts > 0
+        assert r.stats.interference_failures == r.stats.attempts
+        assert r.stats.energy_attempted == 0.5 * r.stats.attempts
+        assert r.stats.energy_successful == 0.0
+
+    def test_all_success_mac_matches_mac_free_run(self):
+        scen = stream_scenario(ring_graph(8), 2, 60, rng=5)
+        runs = []
+        for success_fn in (None, lambda b: np.ones(len(b), dtype=bool)):
+            engine = SimulationEngine.for_scenario(
+                ShortestPathRouter(scen.graph), scen, success_fn=success_fn
+            )
+            runs.append(engine.run(60, drain=30).stats)
+        assert runs[0] == runs[1]
+        assert runs[0].delivered > 0
 
 
 class TestMobility:

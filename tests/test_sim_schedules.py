@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.sim.packets import Injection, Transmission
+from repro.sim.packets import Injection, TxBatch
 from repro.sim.schedules import (
     Schedule,
     schedules_conflict_free,
@@ -30,9 +31,18 @@ class TestPackets:
         with pytest.raises(ValueError):
             Injection(time=0, node=2, dest=2)
 
-    def test_transmission_fields(self):
-        tx = Transmission(src=0, dst=1, dest=4, cost=0.5)
-        assert tx.cost == 0.5
+    def test_txbatch_fields(self):
+        tx = TxBatch(src=[0, 3], dst=[1, 2], col=[0, 1], dest=[4, 5], cost=[0.5, 1.5])
+        assert len(tx) == 2
+        assert tx.cost.dtype == np.float64 and tx.src.dtype == np.intp
+        assert tx.cost.tolist() == [0.5, 1.5]
+        # Both directions of one edge share an undirected code.
+        codes = TxBatch([3, 2], [2, 3], [0, 0], [1, 1], [1.0, 1.0]).edge_codes()
+        assert codes.tolist() == [(2 << 32) | 3] * 2
+
+    def test_txbatch_rejects_ragged_arrays(self):
+        with pytest.raises(ValueError):
+            TxBatch(src=[0, 1], dst=[1], col=[0, 0], dest=[1, 1], cost=[1.0, 1.0])
 
 
 class TestSchedule:
