@@ -64,7 +64,14 @@ import numpy as np
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
-from repro.utils.arrays import ragged_arange, sorted_unique, unique_inverse
+from repro.utils.arrays import (
+    member,
+    merge_sorted,
+    ragged_arange,
+    sorted_unique,
+    toggle_sorted,
+    unique_inverse,
+)
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -100,43 +107,6 @@ _QUEUE_LIMIT = 32
 def _codes_of(pairs) -> np.ndarray:
     """Sorted packed ``(lo << 32) | hi`` codes of undirected edge pairs."""
     return np.array(sorted((int(lo) << 32) | int(hi) for lo, hi in pairs), dtype=np.int64)
-
-
-def _member(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``x`` present in the sorted array ``sorted_arr``."""
-    if len(sorted_arr) == 0 or len(x) == 0:
-        return np.zeros(len(x), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_arr, x), len(sorted_arr) - 1)
-    return sorted_arr[pos] == x
-
-
-def _merge_sorted(*runs: np.ndarray) -> np.ndarray:
-    """The sorted concatenation of sorted arrays.
-
-    A stable sort of the concatenation is a run-merging timsort: a
-    linear merge of the runs, faster in numpy than ``np.insert``.
-    """
-    out = np.concatenate(runs)
-    out.sort(kind="stable")
-    return out
-
-
-def _toggle(keys: np.ndarray, *runs: np.ndarray) -> np.ndarray:
-    """Symmetric difference of sorted arrays of distinct keys.
-
-    ``keys`` and each run are sorted and hold distinct keys; a key found
-    in two of them drops out (the runs must not share keys).
-    """
-    out = _merge_sorted(keys, *runs)
-    if len(out) < 2:
-        return out
-    dup = out[1:] == out[:-1]
-    if not dup.any():
-        return out
-    keep = np.ones(len(out), dtype=bool)
-    keep[1:] &= ~dup
-    keep[:-1] &= ~dup
-    return out[keep]
 
 
 def _both_ways(keys: np.ndarray) -> np.ndarray:
@@ -410,7 +380,7 @@ class DynamicInterference:
         for keys in (self._pairs, *self._logs):
             if len(keys):
                 start = keys.searchsorted(lo)
-                got = _toggle(got, keys[ragged_arange(start, keys.searchsorted(hi) - start)])
+                got = toggle_sorted(got, keys[ragged_arange(start, keys.searchsorted(hi) - start)])
         return got
 
     def _merge(self, gain: np.ndarray, lose: np.ndarray) -> None:
@@ -423,18 +393,18 @@ class DynamicInterference:
         array.
         """
         logs = self._logs
-        logs[0] = _toggle(logs[0], gain, lose)
+        logs[0] = toggle_sorted(logs[0], gain, lose)
         limit = max(_COMPACT_FRACTION * len(self._pairs), _LOG_MIN)
         cap = _LOG_MIN
         i = 0
         while len(logs[i]) > cap:
             if cap >= limit:
-                self._pairs = _toggle(self._pairs, logs[i])
+                self._pairs = toggle_sorted(self._pairs, logs[i])
                 logs[i] = _NO_KEYS
                 break
             if i + 1 == len(logs):
                 logs.append(_NO_KEYS)
-            logs[i + 1] = _toggle(logs[i + 1], logs[i])
+            logs[i + 1] = toggle_sorted(logs[i + 1], logs[i])
             logs[i] = _NO_KEYS
             i += 1
             cap *= _LOG_RATIO
@@ -443,7 +413,7 @@ class DynamicInterference:
         """Fold every log into the pair array."""
         for keys in self._logs:
             if len(keys):
-                self._pairs = _toggle(self._pairs, keys)
+                self._pairs = toggle_sorted(self._pairs, keys)
         self._logs = [_NO_KEYS]
 
     def _install(self, gain: np.ndarray, lose: np.ndarray, rem_slots: np.ndarray) -> None:
@@ -611,7 +581,7 @@ class DynamicInterference:
                 order = np.argsort(held)
                 held, held_gid = held[order], np.concatenate([rc_gid, rem_gid])[order]
                 a, b = changed >> 32, changed & _MASK
-                gid = held_gid[np.searchsorted(held, np.where(_member(a, held), a, b))]
+                gid = held_gid[np.searchsorted(held, np.where(member(a, held), a, b))]
             twice = self._twice(gain >> 32, gain & _MASK, rc_slots, add_slots)
             entries = np.bincount(gid, minlength=n_groups) + np.bincount(
                 gid[: len(gain)][twice], minlength=n_groups
@@ -730,11 +700,11 @@ class DynamicInterference:
         retract = _NO_KEYS
         if len(rem_slots):
             rem = np.sort(rem_slots)
-            gone = _member(old >> 32, rem) | _member(old & _MASK, rem)
+            gone = member(old >> 32, rem) | member(old & _MASK, rem)
             retract, old = _both_ways(old[gone]), old[~gone]
         old = np.sort(old)
-        gain = _both_ways(new[~_member(new, old)])
-        lose = _merge_sorted(_both_ways(old[~_member(old, new)]), retract)
+        gain = _both_ways(new[~member(new, old)])
+        lose = merge_sorted(_both_ways(old[~member(old, new)]), retract)
         return gain, lose
 
     def region_rows(self, codes: np.ndarray) -> dict:
@@ -747,7 +717,7 @@ class DynamicInterference:
         slots = self._slot_of(codes)
         keys = self._rows_of(np.sort(slots))
         pairs = np.column_stack([self._slot_code[keys >> 32], self._slot_code[keys & _MASK]])
-        partners = sorted_unique(pairs[:, 1][~_member(pairs[:, 1], codes)])
+        partners = sorted_unique(pairs[:, 1][~member(pairs[:, 1], codes)])
         return {
             "codes": codes,
             "rad2": self._rad2[slots],
@@ -773,9 +743,9 @@ class DynamicInterference:
         mine = np.fromiter(
             chain.from_iterable(self._incident.get(u, _EMPTY) for u in nodes), dtype=np.int64
         )
-        drop = sorted_unique(mine[~_member(mine, codes)])
+        drop = sorted_unique(mine[~member(mine, codes)])
         known = np.concatenate([codes, partners])
-        add = np.sort(known[~_member(known, self._codes)])
+        add = np.sort(known[~member(known, self._codes)])
         self._unregister(drop)
         self._register(add)
         rem_slots = self._untrack(drop)
@@ -849,7 +819,7 @@ class DynamicInterference:
         self._rad2[self._slot_of(arr)] = own_r2
 
         indptr, cand = idx.query_radius_many(pos, self._r_in)
-        d = idx.positions_of(cand) - pos[np.repeat(np.arange(len(ends)), np.diff(indptr))]
+        d = idx.positions_of(cand) - np.take(pos, np.repeat(np.arange(len(ends)), np.diff(indptr)), axis=0)
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # (row, hit) pairs: the hits of both endpoints of every row.
         per_end = np.diff(indptr)[end_of]
@@ -995,7 +965,7 @@ class DynamicMAC:
         if self.bound_mode == "own":
             # Degrees straight off the maintained rows, in the edge
             # array's order — no second sort, no CSR build.
-            codes = (edges[:, 0].astype(np.int64) << 32) | edges[:, 1]
+            codes = self.inc.edge_codes()
             bounds = np.maximum(self.interference.degrees_of(codes).astype(np.float64), 1.0)
         else:
             sets = self.interference.interference_sets()

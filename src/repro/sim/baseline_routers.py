@@ -35,6 +35,21 @@ from repro.utils.rng import as_rng
 __all__ = ["ShortestPathRouter", "RandomWalkRouter"]
 
 
+def resolve_attempts(attempts: "list[tuple[int, int, int, float]]", success_fn) -> "list[bool]":
+    """Success flags of ``(src, dst, dest, cost)`` attempts.
+
+    All succeed without a MAC; otherwise ``success_fn`` resolves them
+    as one batch (``col`` carries the destination id).
+    """
+    if success_fn is None:
+        return [True] * len(attempts)
+    src, dst, dest, cost = zip(*attempts) if attempts else ((),) * 4
+    ok = np.asarray(success_fn(TxBatch(src, dst, dest, dest, cost)), dtype=bool).reshape(-1)
+    if len(ok) != len(attempts):
+        raise ValueError("success mask length mismatch")
+    return ok.tolist()
+
+
 class _QueueRouterBase:
     """Shared plumbing: FIFO queues of destination ids per node."""
 
@@ -65,22 +80,6 @@ class _QueueRouterBase:
 
     def end_step(self, delivered: int) -> None:
         self.stats.end_step(self.max_height(), delivered)
-
-    @staticmethod
-    def _resolve(attempts: "list[tuple[int, int, int, float]]", success_fn) -> "list[bool]":
-        """Success flags of ``(src, dst, dest, cost)`` attempts.
-
-        All succeed without a MAC; otherwise ``success_fn`` resolves them
-        as one batch (``col`` carries the destination id).
-        """
-        if success_fn is None:
-            return [True] * len(attempts)
-        src, dst, dest, cost = zip(*attempts) if attempts else ((),) * 4
-        ok = np.asarray(success_fn(TxBatch(src, dst, dest, dest, cost)), dtype=bool).reshape(-1)
-        if len(ok) != len(attempts):
-            raise ValueError("success mask length mismatch")
-        return ok.tolist()
-
 
 class ShortestPathRouter(_QueueRouterBase):
     """Min-energy shortest-path routing with FIFO queues.
@@ -135,7 +134,7 @@ class ShortestPathRouter(_QueueRouterBase):
                     attempts.append((u, v, dest, c))
                     break
         delivered = 0
-        for (u, v, dest, c), ok in zip(attempts, self._resolve(attempts, success_fn)):
+        for (u, v, dest, c), ok in zip(attempts, resolve_attempts(attempts, success_fn)):
             self.stats.record_attempt(c, ok)
             if not ok:
                 continue
@@ -185,7 +184,7 @@ class RandomWalkRouter(_QueueRouterBase):
             attempts.append((u, v, q[k], c))
             planned[u] = k + 1
         delivered = 0
-        for (u, v, dest, c), ok in zip(attempts, self._resolve(attempts, success_fn)):
+        for (u, v, dest, c), ok in zip(attempts, resolve_attempts(attempts, success_fn)):
             self.stats.record_attempt(c, ok)
             if not ok:
                 continue

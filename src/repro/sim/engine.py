@@ -136,6 +136,9 @@ class SimulationEngine:
         self.t = 0
         self._series = step_series
         self._max_height_fn = getattr(router, "max_height", None)
+        #: ``(maintainer, topology version, directed, costs)`` of the
+        #: last MAC-free edge derivation.
+        self._edge_cache = None
 
     @classmethod
     def for_scenario(cls, router, scenario, *, success_fn=None) -> "SimulationEngine":
@@ -297,17 +300,25 @@ class SimulationEngine:
                 self.router.stats.record_churn_drops(lost)
 
     def _dynamic_edges(self, dynamic):
-        """Both directions of the maintained topology with |uv|^κ costs."""
+        """Both directions of the maintained topology with |uv|^κ costs.
+
+        Derived from the maintained sorted edge array once per topology
+        version (positions only change with events, which bump it) and
+        handed out read-only.
+        """
         import numpy as np
 
-        undirected = dynamic.active_edges()
-        if len(undirected) == 0:
-            empty = np.empty((0, 2), dtype=np.intp)
-            return empty, np.empty(0, dtype=np.float64)
-        directed = np.vstack([undirected, undirected[:, ::-1]])
         inc = dynamic.incremental
+        cache = self._edge_cache
+        if cache is not None and cache[0] is inc and cache[1] == inc.topology_version:
+            return cache[2], cache[3]
+        undirected = dynamic.active_edges()
+        directed = np.vstack([undirected, undirected[:, ::-1]]).reshape(-1, 2)
         d = inc.position_array(directed[:, 1]) - inc.position_array(directed[:, 0])
         costs = np.hypot(d[:, 0], d[:, 1]) ** inc.kappa
+        directed.flags.writeable = False
+        costs.flags.writeable = False
+        self._edge_cache = (inc, inc.topology_version, directed, costs)
         return directed, costs
 
     def _filter_injections(self, dynamic, injections):

@@ -23,6 +23,7 @@ from collections import deque
 import numpy as np
 
 from repro.graphs.base import GeometricGraph
+from repro.sim.baseline_routers import resolve_attempts
 from repro.sim.stats import RoutingStats
 
 __all__ = ["GreedyGeographicRouter", "greedy_geographic_path"]
@@ -68,8 +69,10 @@ class GreedyGeographicRouter:
     """Stateless greedy geographic forwarding with FIFO queues.
 
     Per step, for each usable directed edge (v, w): if w is v's best
-    greedy next hop for some buffered packet (strictly closer to that
-    packet's destination than v), forward one such packet.  Packets at
+    greedy next hop for some packet buffered at the start of the step
+    (strictly closer to that packet's destination than v), attempt to
+    forward one such packet; a MAC's ``success_fn`` decides which
+    attempts go through.  Packets at
     a local minimum are dropped immediately and counted — greedy mode
     has no recovery, which is the measured phenomenon.
     """
@@ -113,22 +116,30 @@ class GreedyGeographicRouter:
         return sum(len(q) for q in self.queues)
 
     def run_step(self, directed_edges, costs, injections=None, success_fn=None) -> int:
+        """One step: forward, along each usable edge (u, v), the first
+        packet queued at u whose greedy next hop is v.
+
+        Attempts are read off the step-start queues, so a packet moves
+        at most one hop per step, and go through ``success_fn`` as one
+        batch; a failed attempt is charged and its packet stays queued.
+        """
         edges = np.asarray(directed_edges, dtype=np.intp).reshape(-1, 2)
         costs = np.asarray(costs, dtype=np.float64).reshape(-1)
         usable = {(int(u), int(v)): float(c) for (u, v), c in zip(edges, costs)}
-        delivered = 0
+        attempts: list[tuple[int, int, int, float]] = []
         for (u, v), c in usable.items():
-            q = self.queues[u]
-            pick = None
-            for i, dest in enumerate(q):
+            for dest in self.queues[u]:
                 if self._greedy_next(u, dest) == v:
-                    pick = i
+                    attempts.append((u, v, dest, c))
                     break
-            if pick is None:
+        delivered = 0
+        for (u, v, dest, c), ok in zip(attempts, resolve_attempts(attempts, success_fn)):
+            self.stats.record_attempt(c, ok)
+            if not ok:
                 continue
-            dest = q[pick]
-            del q[pick]
-            self.stats.record_attempt(c, True)
+            # Every packet for ``dest`` at u shares the greedy next hop v,
+            # so the first one is the packet picked.
+            self.queues[u].remove(dest)
             if v == dest:
                 delivered += 1
                 self.stats.record_delivery()

@@ -294,3 +294,41 @@ class TestMACUnderChurn:
         dyn = DynamicTopology(inc, EventTrace([], horizon=5))
         with pytest.raises(ValueError, match="not both"):
             SimulationEngine(router, lambda t: None, dynamic=dyn, mac=mac)
+
+
+class TestMacFreeEdgeCache:
+    def test_edges_derived_once_per_topology_version(self, monkeypatch):
+        # MAC-free engine on a maintained topology: the directed edges
+        # and their costs are derived from the edge array once per
+        # topology version, so churn-free steps never read it again.
+        from repro.dynamic.events import EventTrace, NodeMove
+
+        pts = uniform_points(60, rng=7)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        inc = IncrementalTheta(pts, THETA, d0)
+        events = EventTrace([(3, NodeMove(5, 0.5, 0.5))])
+        dyn = DynamicTopology(inc, events)
+        router = BalancingRouter(dyn.capacity, [0], BalancingConfig(0.0, 0.0, 64))
+        engine = SimulationEngine(router, injections_fn=lambda t: [(1, 0, 1)], dynamic=dyn)
+        calls = []
+        original = IncrementalTheta.edge_array
+
+        def counted(self):
+            calls.append(self.topology_version)
+            return original(self)
+
+        monkeypatch.setattr(IncrementalTheta, "edge_array", counted)
+        engine.step()
+        assert len(calls) == 1
+        engine.step()
+        engine.step()
+        assert len(calls) == 1
+        engine.step()  # step 3 moves node 5: one fresh derivation
+        engine.step()
+        assert calls == [0, 1]
+        directed, costs = engine._dynamic_edges(dyn)
+        want = np.vstack([inc.edge_array(), inc.edge_array()[:, ::-1]])
+        assert np.array_equal(directed, want)
+        d = inc.position_array(want[:, 1]) - inc.position_array(want[:, 0])
+        assert np.array_equal(costs, np.hypot(d[:, 0], d[:, 1]) ** inc.kappa)
+        assert not directed.flags.writeable and not costs.flags.writeable

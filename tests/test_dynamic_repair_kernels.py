@@ -77,6 +77,16 @@ def _rows_as_lists(dyn, codes):
     return r2.tolist(), [hits[bounds[i] : bounds[i + 1]].tolist() for i in range(len(codes))]
 
 
+def _as_dict(ids, table):
+    """A kernel's ``(len(ids), k)`` table as ``{id: {sector: node}}`` (non-empty rows)."""
+    out = {}
+    for u, row in zip(list(ids), table.tolist()):
+        cones = {s: v for s, v in enumerate(row) if v >= 0}
+        if cones:
+            out[u] = cones
+    return out
+
+
 def _subset(data, items):
     return sorted(data.draw(st.lists(st.sampled_from(items), unique=True)) if items else [])
 
@@ -88,11 +98,11 @@ def test_batched_kernels_match_per_node_oracles(world, data):
     # Phase 1 over any ids, dead ones included.
     dirty = _subset(data, list(range(inc.size)))
     want = {u: c for u in dirty if (c := yao_choices_reference(inc, u))}
-    assert inc._yao_choices_many(dirty) == want
+    assert _as_dict(dirty, inc._yao_choices_many(dirty)) == want
     # Phase 2 over live receivers, isolated ones included.
     receivers = _subset(data, inc.alive_ids().tolist())
     want = {x: a for x in receivers if (a := admissions_reference(inc, x))}
-    assert inc._admissions_many(receivers) == want
+    assert _as_dict(receivers, inc._admissions_many(receivers)) == want
     # Conflict rows over tracked edges: the reference reads the radii the
     # kernel installed, and both must equal the maintained rows.
     codes = _subset(data, dyn.edge_codes().tolist())
@@ -111,13 +121,13 @@ def test_full_world_every_node_at_once():
     inc = IncrementalTheta(gen.uniform(0.0, 2.0, (120, 2)), math.pi / 9, D)
     dyn = DynamicInterference(inc, 1.0)
     ids = inc.alive_ids().tolist()
-    assert inc._yao_choices_many(ids) == {
+    assert _as_dict(ids, inc._yao_choices_many(ids)) == {
         u: c for u in ids if (c := yao_choices_reference(inc, u))
     }
-    assert inc._admissions_many(ids) == {
+    assert _as_dict(ids, inc._admissions_many(ids)) == {
         x: a for x in ids if (a := admissions_reference(inc, x))
     }
-    assert inc._admissions_many(ids) == inc._admit
+    assert np.array_equal(inc._admissions_many(ids), inc._adm[ids])
     codes = dyn.edge_codes().tolist()
     _, rows = _rows_as_lists(dyn, codes)
     assert rows == [sorted(conflict_row_reference(dyn, c)) for c in codes]
@@ -126,6 +136,6 @@ def test_full_world_every_node_at_once():
 def test_empty_sets():
     inc = IncrementalTheta(np.array([[0.0, 0.0], [0.3, 0.0]]), math.pi / 9, D)
     dyn = DynamicInterference(inc, 1.0)
-    assert inc._yao_choices_many([]) == {}
-    assert inc._admissions_many([]) == {}
+    assert inc._yao_choices_many([]).shape == (0, inc._k)
+    assert inc._admissions_many([]).shape == (0, inc._k)
     assert _rows_as_lists(dyn, []) == ([], [])

@@ -171,3 +171,44 @@ class TestPoolLifecycle:
         with pool:
             with pytest.raises(RuntimeError, match="shared-buffer capacity"):
                 pool.apply_batch(joins)
+
+
+def _shm_names() -> "set[str]":
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _live_children() -> "list[int]":
+    """Live (non-zombie) direct children of this process."""
+    me = os.getpid()
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == me and fields[0] != "Z":
+            out.append(int(entry))
+    return sorted(out)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_pool_start_and_close_leave_shm_and_children_as_they_were():
+    # The resource tracker is a long-lived child started by the first
+    # segment a process creates; start it up front so it is part of the
+    # baseline rather than mistaken for a leaked worker.
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    pts = uniform_points(80, rng=3)
+    inc = IncrementalTheta(pts, THETA, max_range_for_connectivity(pts, slack=1.5))
+    shm_before, children_before = _shm_names(), _live_children()
+    pool = TileWorkerPool(inc, workers=2, tiles=(2, 1))
+    assert pool.workers == 2
+    assert len(_shm_names() - shm_before) >= 2
+    assert len(set(_live_children()) - set(children_before)) == 2
+    pool.close()
+    assert _shm_names() == shm_before
+    assert _live_children() == children_before

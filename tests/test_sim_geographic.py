@@ -88,6 +88,44 @@ class TestRouter:
         assert r.stats.delivered == 0
         assert r.local_minimum_drops >= 1
 
+    def test_failed_attempts_deliver_nothing(self):
+        # A 4-node line under a MAC that fails every attempt: the packet
+        # is charged for each attempt and never leaves node 0.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        g = GeometricGraph(pts, [(0, 1), (1, 2), (2, 3)])
+        r = GreedyGeographicRouter(g)
+        edges = g.directed_edge_array()
+        costs = np.concatenate([g.edge_costs, g.edge_costs])
+        r.inject(0, 3, 1)
+        batches = []
+
+        def fail_all(batch):
+            batches.append(batch)
+            return np.zeros(len(batch), dtype=bool)
+
+        for _ in range(5):
+            r.run_step(edges, costs, success_fn=fail_all)
+        assert r.stats.delivered == 0
+        assert r.stats.interference_failures == r.stats.attempts == 5
+        assert list(r.queues[0]) == [3]
+        assert [(b.src.tolist(), b.dst.tolist(), b.dest.tolist()) for b in batches] == [
+            ([0], [1], [3])
+        ] * 5
+
+    def test_one_hop_per_step(self):
+        # Attempts come off the step-start queues: a packet crossing
+        # 0 → 1 cannot also cross 1 → 2 in the same step.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        g = GeometricGraph(pts, [(0, 1), (1, 2), (2, 3)])
+        r = GreedyGeographicRouter(g)
+        edges = g.directed_edge_array()
+        costs = np.concatenate([g.edge_costs, g.edge_costs])
+        r.inject(0, 3, 1)
+        for step in range(3):
+            assert r.stats.delivered == 0
+            r.run_step(edges, costs)
+        assert r.stats.delivered == 1
+
     def test_injection_at_minimum_rejected(self):
         g = cul_de_sac_graph()
         r = GreedyGeographicRouter(g)
