@@ -27,6 +27,7 @@ from repro import (
     theta_algorithm,
     uniform_points,
 )
+from repro._reference import query_radius_reference
 from repro.dynamic.events import EventTrace
 from repro.geometry.spatialindex import DynamicGridIndex, GridIndex
 
@@ -60,18 +61,20 @@ class TestDynamicGridIndex:
 
     @staticmethod
     def _assert_many_matches_single(dyn, centers, r, exclude=None):
+        # Row for row against a scan of every live node (no cells), and
+        # the one-center query against the same scan.
         indptr, indices = dyn.query_radius_many(centers, r, exclude=exclude)
         assert len(indptr) == len(centers) + 1
         assert indptr[-1] == len(indices)
         for k, c in enumerate(centers):
             ex = None if exclude is None else int(exclude[k])
-            np.testing.assert_array_equal(
-                indices[indptr[k] : indptr[k + 1]], dyn.query_radius(c, r, exclude=ex)
-            )
+            want = query_radius_reference(dyn, c, r, exclude=ex)
+            np.testing.assert_array_equal(indices[indptr[k] : indptr[k + 1]], want)
+            np.testing.assert_array_equal(dyn.query_radius(c, r, exclude=ex), want)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_query_radius_many_matches_per_center(self, seed):
-        # Row for row against per-center query_radius, with exclude on
+        # Row for row against a scan of every live node, with exclude on
         # and off, radii above and below the cell, negative coordinates,
         # and centers in empty cells far outside the points.
         gen = np.random.default_rng(seed)
@@ -84,6 +87,54 @@ class TestDynamicGridIndex:
         for r in (0.1, 0.25, 0.6):
             self._assert_many_matches_single(dyn, centers, r)
             self._assert_many_matches_single(dyn, centers, r, exclude=ids)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_queries_match_a_scan_after_mutations(self, seed):
+        # Removes, inserts (fresh ids and re-populated slots) and moves
+        # within and across cells, many of them at negative cell
+        # coordinates.  After each: the sorted cell arrays hold exactly
+        # the live (cell code, id) pairs packed here from the positions;
+        # a twin replaying the same edits through apply_shared_mutation
+        # (the pool workers' path) holds the same arrays; and queries
+        # match a scan of every live node.
+        gen = np.random.default_rng(seed)
+        cell = 0.25
+        pts = gen.uniform(-2.0, 1.0, (60, 2))
+        dyn = DynamicGridIndex(pts, cell)
+        twin = DynamicGridIndex(pts, cell)
+        for _ in range(80):
+            alive = dyn.alive_ids()
+            dead = np.setdiff1d(np.arange(dyn.size), alive)
+            op = int(gen.integers(4))
+            if op == 0 and len(alive) > 5:
+                node = int(gen.choice(alive))
+                record = ("remove", node, dyn.cell_key(dyn.position(node)), None)
+                dyn.remove(node)
+            elif op == 1:
+                node = int(gen.choice(dead)) if len(dead) and gen.random() < 0.5 else dyn.size
+                p = gen.uniform(-2.5, 1.5, 2)
+                dyn.insert(node, p)
+                record = ("insert", node, None, dyn.cell_key(p))
+            else:
+                node = int(gen.choice(alive))
+                old_key = dyn.cell_key(dyn.position(node))
+                step = gen.normal(0.0, 0.6 if op == 2 else 0.05, 2)
+                dyn.move(node, dyn.position(node) + step)
+                record = ("move", node, old_key, dyn.cell_key(dyn.position(node)))
+            twin._pos, twin._alive = dyn._pos, dyn._alive
+            twin.apply_shared_mutation(*record)
+            live = dyn.alive_ids()
+            ij = np.floor(dyn.positions_of(live) / cell).astype(np.int64)
+            codes = (ij[:, 0] << 32) + ij[:, 1]
+            assert (ij < 0).any()
+            want = sorted(zip(codes.tolist(), live.tolist()))
+            for index in (dyn, twin):
+                assert index._cells.tolist() == sorted(codes.tolist())
+                assert sorted(zip(index._cells.tolist(), index._ids.tolist())) == want
+            centers = np.vstack([dyn.positions_of(live[::7]), gen.uniform(-3.0, 2.0, (4, 2))])
+            r = float(gen.choice([0.1, 0.25, 0.6]))
+            self._assert_many_matches_single(dyn, centers, r)
+            self._assert_many_matches_single(twin, centers, r, exclude=np.arange(len(centers)))
 
     def test_query_radius_many_empty_inputs(self):
         dyn = DynamicGridIndex(uniform_points(10, rng=4), 0.2)
@@ -115,6 +166,13 @@ class TestDynamicGridIndex:
         assert indices[indptr[0] : indptr[1]].tolist() == [0, 1, 2, 4]
         assert indices[indptr[1] : indptr[2]].tolist() == [0, 4]
         self._assert_many_matches_single(dyn, centers, 0.5)
+        # Two nodes beyond r but inside the slack (cell 0.25, reach 2):
+        # node 2 lies in the cell block and is a hit, node 1 lies three
+        # cells below and is not.  The cell block is part of the
+        # query's rule, and of the oracle's.
+        band = DynamicGridIndex(np.array([[0.0, 0.25], [0.0, -0.25 - 1e-13], [7e-7, -0.25]]), 0.25)
+        assert band.query_radius(np.array([0.0, 0.25]), 0.5).tolist() == [0, 2]
+        self._assert_many_matches_single(band, np.array([[0.0, 0.25], [0.0, 0.0]]), 0.5)
         self._assert_many_matches_single(dyn, centers, 0.5, exclude=np.array([0, 4]))
 
     def test_insert_remove_move_lifecycle(self):
