@@ -561,16 +561,20 @@ def edge_rad2_reference(dyn, code: int) -> float:
 def conflict_row_reference(dyn, code: int) -> "set[int]":
     """Per-row conflict recompute of ``DynamicInterference`` (pre-batching).
 
-    I(code) from current geometry, the maintained ``_incident`` map and
-    the radii ``_rad2_of`` reads: one :func:`query_radius_reference` per
-    endpoint at the shared maximum guard reach, then per candidate node ``u`` at squared
-    distance ``d2`` from an endpoint, every edge ``k`` at ``u`` with
-    ``d2 ≤ r²(code)`` or ``d2 ≤ r²(k)``; ``code`` itself excluded.
+    I(code) from current geometry, the tracked edges ``edge_codes()``
+    and the radii ``_rad2_of`` reads: one :func:`query_radius_reference`
+    per endpoint at the shared maximum guard reach, then per candidate
+    node ``u`` at squared distance ``d2`` from an endpoint, every edge
+    ``k`` at ``u`` (found by scanning every tracked edge) with ``d2 ≤
+    r²(code)`` or ``d2 ≤ r²(k)``; ``code`` itself excluded.
     """
     index = dyn._index
     pab = index.positions_of(np.array([code >> 32, code & 0xFFFFFFFF], dtype=np.intp))
     r2_own = float(dyn._rad2_of(np.array([code], dtype=np.int64))[0])
-    incident = dyn._incident
+    incident: "dict[int, list[int]]" = {}
+    for c in dyn.edge_codes().tolist():
+        incident.setdefault(c >> 32, []).append(c)
+        incident.setdefault(c & 0xFFFFFFFF, []).append(c)
     row: "set[int]" = set()
     for p in pab:
         cand = query_radius_reference(index, p, dyn._r_in)
@@ -634,6 +638,10 @@ class ConflictRowsReference:
 
     def _rad2_of(self, codes) -> np.ndarray:
         return np.array([self._rad2[int(c)] for c in codes], dtype=np.float64)
+
+    def edge_codes(self) -> np.ndarray:
+        """Sorted codes of the tracked edges (those in the node → edge map)."""
+        return np.array(sorted(set().union(*self._incident.values())), dtype=np.int64)
 
     def rows(self) -> "dict[int, list[int]]":
         """Every row as a sorted code list, keyed by edge code."""

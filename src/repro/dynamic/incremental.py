@@ -62,7 +62,6 @@ from repro.obs import trace
 from repro.utils.arrays import (
     CodeSet,
     member,
-    ragged_arange,
     run_starts,
     sorted_unique,
     unique_counts,
@@ -144,9 +143,9 @@ class IncrementalTheta:
       choices of the edge survived pruning.
 
     Both code arrays are :class:`~repro.utils.arrays.CodeSet` objects:
-    a repair's edits go to a small sorted toggle log that folds into
-    the array once it outgrows a sixteenth of it, so a repair does not
-    copy the whole array.
+    a repair's edits go to small sorted toggle logs that fold into the
+    array once they outgrow an eighth of it, so a repair does not copy
+    the whole array.
     """
 
     def __init__(
@@ -247,7 +246,7 @@ class IncrementalTheta:
 
     def in_neighbors(self, x: int) -> np.ndarray:
         """Sorted ids of the nodes whose Yao choices include ``x``."""
-        return np.sort(self._rev.runs([x])[0]) & _MASK
+        return self._rev.runs([x])[0] & _MASK
 
     def edge_set(self) -> "set[tuple[int, int]]":
         """The maintained topology N as undirected global-id pairs."""
@@ -830,7 +829,7 @@ class IncrementalTheta:
             "nodes": list(nodes),
             "yao": self._yao[ids],
             "adm": self._adm[ids],
-            "in": np.sort(self._rev.runs(ids)[0]),
+            "in": self._rev.runs(ids)[0],
             "codes": codes,
             "dirs": np.array([self._edge_dirs[c] for c in codes.tolist()], dtype=np.int64),
         }
@@ -850,7 +849,7 @@ class IncrementalTheta:
         self._ensure_rows(ids)
         self._yao[ids] = state["yao"]
         self._adm[ids] = state["adm"]
-        mine = np.sort(self._rev.runs(ids)[0])
+        mine = self._rev.runs(ids)[0]
         theirs = state["in"]
         self._rev.toggle(mine[~member(mine, theirs)], theirs[~member(theirs, mine)])
         codes = state["codes"]
@@ -872,7 +871,7 @@ class IncrementalTheta:
         """Empty the in-sets of ``nodes`` (a departed node has none)."""
         codes = self._rev.runs(nodes)[0]
         if len(codes):
-            self._rev.toggle(np.sort(codes), _NO_CODES)
+            self._rev.toggle(codes, _NO_CODES)
 
     def _touched_radii(
         self,

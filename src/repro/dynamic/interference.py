@@ -27,18 +27,18 @@ the topology repair:
 
 The relation lives in arrays, not in per-edge Python sets.  Every
 tracked edge code holds a process-local *slot*; a table sorted by code
-maps codes to slots with one ``searchsorted``.  One sorted int64 array
-holds ``(slot_a << 32) | slot_b`` for both orientations of every
-conflicting pair, next to per-slot degree and guard-radius arrays.
-Updates do not copy that array: changed keys toggle entries of a few
-sorted logs of growing size (a key logged an odd number of times flips
-its presence in the array).  A full log folds into the next, and the
-largest folds into the array once it passes ``_COMPACT_FRACTION`` of
-it, so a row read is an array slice corrected by the logs' slices.  A
-repair reads the old rows of every changed edge at once, sorts old and
-new keys once each, adds each changed entry's mirror as the swapped
-key, and installs everything with one merge.  The dict-of-sets
-maintainer this replaced is :class:`repro._reference.ConflictRowsReference`.
+maps codes to slots with one ``searchsorted``.  Two
+:class:`~repro.utils.arrays.CodeSet` objects hold the rest: the
+incidence index, ``(node << 32) | slot`` for both endpoints of every
+edge (the edges at a node are one run of it), and the relation,
+``(slot_a << 32) | slot_b`` for both orientations of every conflicting
+pair, next to per-slot degree and guard-radius arrays.  Updates toggle
+their small logs instead of copying their main arrays, and a read is
+one :meth:`~repro.utils.arrays.CodeSet.runs`.  A repair reads the old rows
+of every changed edge at once, sorts old and new keys once each, adds
+each changed entry's mirror as the swapped key, and installs everything
+with one toggle.  The dict-of-sets maintainer this replaced is
+:class:`repro._reference.ConflictRowsReference`.
 
 The maintained rows materialize on demand into a CSR
 :class:`~repro.interference.conflict.InterferenceSets` aligned with
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -65,11 +64,11 @@ from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
 from repro.utils.arrays import (
+    CodeSet,
     member,
     merge_sorted,
     ragged_arange,
     sorted_unique,
-    toggle_sorted,
     unique_inverse,
 )
 from repro.utils.rng import as_rng
@@ -84,20 +83,8 @@ __all__ = [
 
 _MASK = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_EMPTY: "frozenset[int]" = frozenset()
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_KEYS.flags.writeable = False
-
-#: Changed keys go to the smallest of a few sorted logs.  Log ``i``
-#: holds up to ``_LOG_MIN * _LOG_RATIO**i`` keys and then folds into log
-#: ``i + 1``; the first log whose size reaches ``_COMPACT_FRACTION`` of
-#: the pair array folds into the array instead.  A fold copies its
-#: target, so each key is copied about ``_LOG_RATIO / 2`` times per
-#: level and the array only once per ``_COMPACT_FRACTION`` of its
-#: length in changes, however large it is.
-_COMPACT_FRACTION = 1 / 8
-_LOG_MIN = 1 << 14
-_LOG_RATIO = 8
 
 #: Installed key changes wait for the next row read (or an explicit
 #: flush) before they are merged, but never more than this many.
@@ -114,6 +101,11 @@ def _both_ways(keys: np.ndarray) -> np.ndarray:
     if len(keys) == 0:
         return _NO_KEYS
     return sorted_unique(np.concatenate([keys, ((keys & _MASK) << 32) | (keys >> 32)]))
+
+
+def _incidence(codes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Sorted incidence keys ``(node << 32) | slot`` of both ends of the edges."""
+    return np.sort(np.concatenate([(codes >> 32 << 32) | slots, ((codes & _MASK) << 32) | slots]))
 
 
 def edge_uniforms(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
@@ -223,7 +215,6 @@ class DynamicInterference:
         # in-range epsilon), so no guard radius exceeds (1+Δ)·√(D²+1e-12):
         # one candidate query radius covers both conflict directions.
         self._r_in = (1.0 + self.delta) * float(np.sqrt(D * D + 1e-12))
-        self._incident: "dict[int, set[int]]" = {}
         self._csr: "InterferenceSets | None" = None
         self._synced_version = -1
         self._seed_from_scratch()
@@ -242,27 +233,22 @@ class DynamicInterference:
         #: Tracked codes, sorted, and the slot of each.
         self._codes = codes[order]
         self._slots = order.astype(np.int64)
+        #: ``(node << 32) | slot`` for both ends of every tracked edge.
+        self._inc = CodeSet(_incidence(codes, np.arange(m, dtype=np.int64)))
         #: Per slot: its code (-1 when free), squared shrunk guard
         #: radius and conflict degree |I(e)|.
-        self._slot_code = codes.copy()
+        self._slot_code = codes
         r = interference_radius(graph.edge_lengths, self.delta) * (1.0 - 1e-12)
         self._rad2 = r * r
         self._deg = np.diff(sets.indptr).astype(np.int64)
         self._free = _NO_KEYS
-        #: Sorted directed pair keys, and the logs of keys toggled since
-        #: (smallest first); the relation is ``_pairs`` XOR every log.
-        self._pairs = (
-            np.repeat(np.arange(m, dtype=np.int64), self._deg) << 32
-        ) | sets.indices.astype(np.int64)
-        self._logs: "list[np.ndarray]" = [_NO_KEYS]
+        #: Directed pair keys ``(slot_a << 32) | slot_b``.
+        self._pairs = CodeSet(
+            (np.repeat(np.arange(m, dtype=np.int64), self._deg) << 32)
+            | sets.indices.astype(np.int64)
+        )
         #: Installed ``(gain, lose, freed slots)`` changes not yet merged.
         self._queued: list = []
-        incident: "dict[int, set[int]]" = {}
-        for (lo, hi), code in zip(edges.tolist(), codes.tolist()):
-            incident.setdefault(lo, set()).add(code)
-            incident.setdefault(hi, set()).add(code)
-        self._incident = incident
-        self._csr = sets
         self._synced_version = self.inc.topology_version
 
     @property
@@ -273,19 +259,10 @@ class DynamicInterference:
     def nbytes(self) -> int:
         """Bytes held by the conflict structure's arrays (CSR cache included)."""
         self._flush()
-        arrays = [
-            self._codes,
-            self._slots,
-            self._slot_code,
-            self._rad2,
-            self._deg,
-            self._free,
-            self._pairs,
-            *self._logs,
-        ]
+        arrays = [self._codes, self._slots, self._slot_code, self._rad2, self._deg, self._free]
         if self._csr is not None:
             arrays += [self._csr.indptr, self._csr.indices]
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays) + self._inc.nbytes + self._pairs.nbytes
 
     def edge_codes(self) -> np.ndarray:
         """Sorted packed ``(lo << 32) | hi`` keys of the tracked edges."""
@@ -328,9 +305,20 @@ class DynamicInterference:
         """Squared shrunk guard radii of tracked edge codes."""
         return self._rad2[self._slot_of(codes)]
 
+    def _edges_at(self, nodes) -> "tuple[np.ndarray, np.ndarray]":
+        """``(slots, owner)``: the slots of the edges at the distinct
+        ``nodes``, sorted by node, each edge's node ``nodes[owner]``."""
+        keys, owner = self._inc.runs(nodes)
+        return keys & _MASK, owner
+
+    def _with_edges_at(self, codes: np.ndarray, nodes) -> np.ndarray:
+        """Sorted distinct ``codes`` and the codes of the edges at ``nodes``."""
+        slots, _ = self._edges_at(sorted_unique(np.fromiter(nodes, dtype=np.int64)))
+        return sorted_unique(np.concatenate([codes, self._slot_code[slots]]))
+
     def _track(self, codes: np.ndarray) -> np.ndarray:
-        """Give untracked ``codes`` free slots and enter them in the table;
-        returns the slots, aligned with ``codes``."""
+        """Give untracked ``codes`` free slots and enter them in the table
+        and the incidence index; returns the slots, aligned with ``codes``."""
         k = len(codes)
         if k == 0:
             return _NO_KEYS
@@ -347,6 +335,7 @@ class DynamicInterference:
         at = self._codes.searchsorted(codes[order])
         self._codes = np.insert(self._codes, at, codes[order])
         self._slots = np.insert(self._slots, at, slots[order])
+        self._inc.toggle(_NO_KEYS, _incidence(codes, slots))
         self._slot_code[slots] = codes
         return slots
 
@@ -364,65 +353,21 @@ class DynamicInterference:
         keep[pos] = False
         self._codes = self._codes[keep]
         self._slots = self._slots[keep]
+        self._inc.toggle(_incidence(codes, slots), _NO_KEYS)
         return slots
 
     def _rows_of(self, slots: np.ndarray) -> np.ndarray:
-        """Directed keys of the current rows of the sorted ``slots``.
-
-        The rows' slice of the pair array, toggled by each log's slice;
-        sorted.
-        """
+        """Directed keys of the current rows of the sorted ``slots``, sorted."""
         self._flush()
-        if len(slots) == 0:
-            return _NO_KEYS
-        lo, hi = slots << 32, (slots + 1) << 32
-        got = _NO_KEYS
-        for keys in (self._pairs, *self._logs):
-            if len(keys):
-                start = keys.searchsorted(lo)
-                got = toggle_sorted(got, keys[ragged_arange(start, keys.searchsorted(hi) - start)])
-        return got
-
-    def _merge(self, gain: np.ndarray, lose: np.ndarray) -> None:
-        """Make the absent keys ``gain`` present and the present keys
-        ``lose`` absent (both sorted directed keys).
-
-        Each changed key toggles its entry in the smallest log: one
-        run-merging sort of the log with both runs, dropping keys met
-        twice.  Full logs then fold into larger ones, the last into the
-        array.
-        """
-        logs = self._logs
-        logs[0] = toggle_sorted(logs[0], gain, lose)
-        limit = max(_COMPACT_FRACTION * len(self._pairs), _LOG_MIN)
-        cap = _LOG_MIN
-        i = 0
-        while len(logs[i]) > cap:
-            if cap >= limit:
-                self._pairs = toggle_sorted(self._pairs, logs[i])
-                logs[i] = _NO_KEYS
-                break
-            if i + 1 == len(logs):
-                logs.append(_NO_KEYS)
-            logs[i + 1] = toggle_sorted(logs[i + 1], logs[i])
-            logs[i] = _NO_KEYS
-            i += 1
-            cap *= _LOG_RATIO
-
-    def _compact(self) -> None:
-        """Fold every log into the pair array."""
-        for keys in self._logs:
-            if len(keys):
-                self._pairs = toggle_sorted(self._pairs, keys)
-        self._logs = [_NO_KEYS]
+        return self._pairs.runs(slots)[0]
 
     def _install(self, gain: np.ndarray, lose: np.ndarray, rem_slots: np.ndarray) -> None:
-        """Install directed key changes: degrees now, the merge later.
+        """Install directed key changes: degrees now, the toggle later.
 
         ``gain`` and ``lose`` are sorted directed keys, mirrors included;
         ``lose`` holds every entry of the removed edges' rows.  Degrees
         change at once.  The keys queue until the next row read or
-        :meth:`_flush` merges them, so a caller can merge while it would
+        :meth:`_flush` toggles them, so a caller can merge while it would
         otherwise wait.  The removed edges' slots join the free list
         only then, so a queued key never names a reused slot.
         """
@@ -435,9 +380,9 @@ class DynamicInterference:
             self._flush()
 
     def _flush(self) -> None:
-        """Merge every queued change, in install order."""
+        """Toggle every queued change into the relation, in install order."""
         for gain, lose, rem_slots in self._queued:
-            self._merge(gain, lose)
+            self._pairs.toggle(lose, gain)
             if len(rem_slots):
                 self._free = np.concatenate([self._free, rem_slots])
         self._queued.clear()
@@ -525,8 +470,8 @@ class DynamicInterference:
         :func:`repro.dynamic.batching.group_events`): then they share no
         edge and no conflict row.  One :meth:`_recompute_rows` rebuilds
         every group's rows, one read of the old rows and one sort of
-        each side give every changed entry, and one :meth:`_merge`
-        installs them with their mirrors.  Returns
+        each side give every changed entry, and one :meth:`_install`
+        queues them with their mirrors.  Returns
         one :class:`ConflictRepairStats` — or one ``(stats, row_diff)``
         pair with ``collect_diff`` — per group, each equal to a lone
         :meth:`update` of that group bar ``wall_time``.  The groups'
@@ -543,31 +488,27 @@ class DynamicInterference:
         """
         t0 = time.perf_counter()
         with trace.span("dynamic.conflict_repair", groups=len(items)) as sp:
-            plans = []
             own: "list[float]" = []
-            for added, removed, moved_nodes in items:
+            changes = []
+            for added, removed, _ in items:
                 t = time.perf_counter()
-                removed_codes = _codes_of(removed)
-                added_codes = _codes_of(added)
-                self._unregister(removed_codes)
-                self._register(added_codes)
-                # Rows to rebuild from geometry: added edges, plus the
-                # persisting edges whose guard zones moved with a mover.
-                recompute: "set[int]" = set(added_codes.tolist())
-                for nd in moved_nodes:
-                    recompute.update(self._incident.get(int(nd), _EMPTY))
-                codes = np.array(sorted(recompute), dtype=np.int64)
-                plans.append((removed_codes, added_codes, codes))
+                changes.append((_codes_of(removed), _codes_of(added)))
                 own.append(time.perf_counter() - t)
-
-            n_groups = len(plans)
-            removed, added, codes = (
-                np.concatenate([p[i] for p in plans]) if plans else _NO_KEYS for i in range(3)
+            n_groups = len(changes)
+            removed, added = (
+                np.concatenate([c[i] for c in changes]) if changes else _NO_KEYS for i in range(2)
             )
-            rem_gid = np.repeat(np.arange(n_groups), [len(p[0]) for p in plans])
-            rc_gid = np.repeat(np.arange(n_groups), [len(p[2]) for p in plans])
             rem_slots = self._untrack(removed)
             add_slots = self._track(added)
+            # Rows to rebuild from geometry: added edges, plus the
+            # persisting edges whose guard zones moved with a mover.
+            plans = [
+                (rc, ac, self._with_edges_at(ac, moved) if len(moved) else ac)
+                for (rc, ac), (_, _, moved) in zip(changes, items)
+            ]
+            codes = np.concatenate([p[2] for p in plans]) if plans else _NO_KEYS
+            rem_gid = np.repeat(np.arange(n_groups), [len(p[0]) for p in plans])
+            rc_gid = np.repeat(np.arange(n_groups), [len(p[2]) for p in plans])
             rad2, indptr, _, hit_slots = self._recompute_rows(codes)
             rc_slots = self._slot_of(codes)
             new = np.sort((np.repeat(rc_slots, np.diff(indptr)) << 32) | hit_slots)
@@ -647,9 +588,6 @@ class DynamicInterference:
         if not diffs:
             return []
         t0 = time.perf_counter()
-        for diff in diffs:
-            self._unregister(diff["removed"])
-            self._register(diff["added"])
         removed, added, codes, rad2, gained, lost = (
             diffs[0][key] if len(diffs) == 1 else np.concatenate([d[key] for d in diffs])
             for key in ("removed", "added", "codes", "rad2", "gained", "lost")
@@ -740,14 +678,10 @@ class DynamicInterference:
         recomputed from geometry.
         """
         codes, partners = state["codes"], state["partners"]
-        mine = np.fromiter(
-            chain.from_iterable(self._incident.get(u, _EMPTY) for u in nodes), dtype=np.int64
-        )
-        drop = sorted_unique(mine[~member(mine, codes)])
+        mine = self._with_edges_at(_NO_KEYS, nodes)
+        drop = mine[~member(mine, codes)]
         known = np.concatenate([codes, partners])
         add = np.sort(known[~member(known, self._codes)])
-        self._unregister(drop)
-        self._register(add)
         rem_slots = self._untrack(drop)
         self._track(add)
         slots = self._slot_of(codes)
@@ -758,24 +692,6 @@ class DynamicInterference:
         gain, lose = self._row_changes(slots, new, rem_slots)
         self._install(gain, lose, rem_slots)
         self._csr = None
-
-    def _unregister(self, codes) -> None:
-        """Drop removed edges from the node → incident-edge map."""
-        incident = self._incident
-        for c in np.asarray(codes).tolist():
-            for nd in (c >> 32, c & _MASK):
-                s = incident.get(nd)
-                if s is not None:
-                    s.discard(c)
-                    if not s:
-                        del incident[nd]
-
-    def _register(self, codes) -> None:
-        """Register added edges so row recomputes can see them."""
-        incident = self._incident
-        for c in np.asarray(codes).tolist():
-            incident.setdefault(c >> 32, set()).add(c)
-            incident.setdefault(c & _MASK, set()).add(c)
 
     def _mark_synced(self) -> None:
         """Batch applier hook: declare the structure current again."""
@@ -827,11 +743,11 @@ class DynamicInterference:
         prow = np.repeat(np.arange(2 * nrows) % nrows, per_end)
         # Expand each hit node to its incident edges, numbered by sorted code.
         nodes, node_of = unique_inverse(cand)
-        inc_sets = list(map(self._incident.get, nodes.tolist(), repeat(_EMPTY)))
-        counts = np.fromiter(map(len, inc_sets), dtype=np.intp, count=len(inc_sets))
-        flat = np.fromiter(chain.from_iterable(inc_sets), dtype=np.int64, count=int(counts.sum()))
-        kcodes, k_of = unique_inverse(flat)
-        kslots = self._slot_of(kcodes)
+        flat, owner = self._edges_at(nodes)
+        counts = np.bincount(owner, minlength=len(nodes))
+        kcodes, k_of = unique_inverse(self._slot_code[flat])
+        kslots = np.empty(len(kcodes), dtype=np.int64)
+        kslots[k_of] = flat
         k_r2 = self._rad2[kslots]
         reps = counts[node_of[hit]]
         k = k_of[ragged_arange((np.cumsum(counts) - counts)[node_of[hit]], reps)]
@@ -880,16 +796,16 @@ class DynamicInterference:
         undirected global-id edges).  Materialization is cached until
         the next :meth:`update`; a topology that advanced without a
         matching update raises instead of serving stale rows.  It
-        compacts the store, renumbers slots by code rank and sorts once.
+        folds the store, renumbers slots by code rank and sorts once.
         """
         self._check_synced()
         if self._csr is None:
             self._flush()
-            self._compact()
+            pairs = self._pairs.array()
             m = len(self._codes)
             rank = np.zeros(len(self._slot_code), dtype=np.int64)
             rank[self._slots] = np.arange(m, dtype=np.int64)
-            keys = (rank[self._pairs >> 32] << 32) | rank[self._pairs & _MASK]
+            keys = (rank[pairs >> 32] << 32) | rank[pairs & _MASK]
             keys.sort(kind="stable")  # linear when slots already follow code order
             indptr = np.zeros(m + 1, dtype=np.intp)
             np.cumsum(np.bincount(keys >> 32, minlength=m), out=indptr[1:])

@@ -50,10 +50,6 @@ class GridIndex:
         check_positive("cell", cell)
         self._points = pts
         self._cell = float(cell)
-        if len(pts):
-            self._origin = pts.min(axis=0)
-        else:
-            self._origin = np.zeros(2)
         keys = self._cell_keys(pts)
         order = np.lexsort((keys[:, 1], keys[:, 0]))
         self._order = order
@@ -103,7 +99,9 @@ class GridIndex:
         return len(self._points)
 
     def _cell_keys(self, pts: np.ndarray) -> np.ndarray:
-        return np.floor((pts - self._origin) / self._cell).astype(np.int64)
+        """Cell ``(floor(x / cell), floor(y / cell))`` of each point, as in
+        :class:`DynamicGridIndex`: both indexes read the same cell block."""
+        return np.floor(pts / self._cell).astype(np.int64)
 
     def _encode(self, keys: np.ndarray) -> np.ndarray:
         """Map (cx, cy) cell keys to sorted scalar codes (see __init__)."""
@@ -139,7 +137,7 @@ class GridIndex:
     def _candidates(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of all points in cells intersecting the query disk."""
         reach = int(math.ceil(radius / self._cell))
-        c = np.floor((np.asarray(center, dtype=np.float64) - self._origin) / self._cell).astype(int)
+        c = self._cell_keys(np.asarray(center, dtype=np.float64).reshape(1, 2))[0]
         chunks = []
         for dx in range(-reach, reach + 1):
             for dy in range(-reach, reach + 1):

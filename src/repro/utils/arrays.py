@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+_LOW = (1 << 32) - 1
+_NO_CODES = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = False
+
 __all__ = [
     "CodeSet",
     "member",
@@ -138,64 +142,100 @@ def toggle_sorted(keys: np.ndarray, *runs: np.ndarray) -> np.ndarray:
 
 
 class CodeSet:
-    """A sorted set of distinct int64 codes that takes small edits cheaply.
+    """A sorted set of distinct int64 codes that takes edits cheaply.
 
-    Two sorted arrays: ``main`` and a toggle ``log``; the set holds the
-    codes found in exactly one of them.  :meth:`toggle` merges an edit
-    into the log (one :func:`toggle_sorted`); the log folds into
-    ``main`` the same way once it outgrows ``max(fold_min, len(main) >>
-    4)`` codes, so an edit of k codes costs O(k + log n) amortized
-    instead of a copy of the whole array.  :meth:`array` folds and
-    returns ``main``; :meth:`runs` reads the codes in ``[id << 32, (id +
-    1) << 32)`` for each id without folding.
+    A sorted ``main`` array and a ladder of sorted toggle ``logs``; the
+    set holds the codes found in an odd number of them.  Log ``i`` holds
+    up to ``fold_min * fold_ratio**i`` codes, and the last log up to
+    ``limit = max(fold_min, fold_fraction * len(main))``: the last is
+    the first log whose successor would hold ``limit`` or more.
+    :meth:`toggle` merges an edit of k codes into the smallest log that
+    holds k (one :func:`toggle_sorted`); a log past its cap folds into
+    the next one, and the last into ``main`` together with every other
+    log.  So an edit costs O(k + cap) plus amortized folds instead of a
+    copy of the whole array, and ``main`` is copied once per ``limit``
+    codes edited.  With ``len(main) <= fold_min * fold_ratio /
+    fold_fraction`` there is one log.  :meth:`array` folds and returns
+    ``main``; :meth:`runs` reads the codes in ``[id << 32, (id + 1) <<
+    32)`` for each id without folding.
     """
 
-    #: Log size below which the log never folds on an edit.
+    #: Cap of the smallest log.
     fold_min = 1024
+    #: Each log's cap is this multiple of the one before.
+    fold_ratio = 8
+    #: The last log folds into ``main`` at this fraction of its length.
+    fold_fraction = 1 / 8
 
     def __init__(self, codes: "np.ndarray | None" = None) -> None:
-        self.main = np.empty(0, dtype=np.int64) if codes is None else codes
-        self.log = np.empty(0, dtype=np.int64)
+        self.main = _NO_CODES if codes is None else codes
+        self.logs: "list[np.ndarray]" = []
+        self._len = len(self.main)
 
     def __len__(self) -> int:
-        return len(self.main) + len(self.log) - 2 * int(member(self.log, self.main).sum())
+        return self._len
+
+    @property
+    def nbytes(self) -> int:
+        return self.main.nbytes + sum(log.nbytes for log in self.logs)
+
+    def caps(self) -> "list[float]":
+        """The cap of each log, smallest first."""
+        limit = max(self.fold_min, self.fold_fraction * len(self.main))
+        caps = [self.fold_min]
+        while max(caps[-1], 1) * self.fold_ratio < limit:
+            caps.append(max(caps[-1], 1) * self.fold_ratio)
+        caps[-1] = limit
+        return caps
 
     def toggle(self, drop: np.ndarray, add: np.ndarray) -> None:
         """Remove the sorted ``drop`` (all present) and insert the sorted
         ``add`` (all absent); the two share no code."""
-        self.log = toggle_sorted(self.log, drop, add)
-        if len(self.log) > max(self.fold_min, len(self.main) >> 4):
-            self.fold()
+        k = len(drop) + len(add)
+        if k == 0:
+            return
+        self._len += len(add) - len(drop)
+        caps = self.caps()
+        i = next((i for i, cap in enumerate(caps) if cap >= k), len(caps) - 1)
+        logs = self.logs
+        logs.extend([_NO_CODES] * (i + 1 - len(logs)))
+        logs[i] = toggle_sorted(logs[i], drop, add)
+        while len(logs[i]) > caps[i]:
+            if i + 1 == len(caps):
+                self.fold()
+                return
+            if i + 1 == len(logs):
+                logs.append(_NO_CODES)
+            logs[i + 1] = toggle_sorted(logs[i + 1], logs[i])
+            logs[i] = _NO_CODES
+            i += 1
 
     def fold(self) -> None:
-        """Merge the log into ``main``."""
-        if len(self.log):
-            self.main = toggle_sorted(self.main, self.log)
-            self.log = np.empty(0, dtype=np.int64)
+        """Merge every log into ``main``."""
+        folded = _NO_CODES
+        for log in self.logs:
+            if len(log):
+                folded = toggle_sorted(folded, log) if len(folded) else log
+        if len(folded):
+            self.main = toggle_sorted(self.main, folded)
+        self.logs = []
 
     def array(self) -> np.ndarray:
-        """Every code, sorted (folds the log first)."""
+        """Every code, sorted (folds the logs first)."""
         self.fold()
         return self.main
 
     def runs(self, ids) -> "tuple[np.ndarray, np.ndarray]":
-        """``(codes, owner)``: the codes whose high 32 bits are ``ids[owner]``.
-
-        Codes of one id come in two sorted runs (from ``main``, then
-        from the log), not one.
-        """
+        """``(codes, owner)``: the sorted codes whose high 32 bits are
+        ``ids[owner]``, for distinct ``ids``."""
         ids = np.asarray(ids, dtype=np.int64)
-        codes, owner = self._runs(self.main, ids)
-        if len(self.log):
-            more, more_owner = self._runs(self.log, ids)
-            keep = ~member(codes, self.log)
-            fresh = ~member(more, self.main)
-            codes = np.concatenate([codes[keep], more[fresh]])
-            owner = np.concatenate([owner[keep], more_owner[fresh]])
-        return codes, owner
-
-    @staticmethod
-    def _runs(arr: np.ndarray, ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        lo = arr.searchsorted(ids << 32)
-        counts = arr.searchsorted((ids + 1) << 32) - lo
-        return arr[ragged_arange(lo, counts)], np.repeat(np.arange(len(ids)), counts)
+        order = np.argsort(ids)
+        lo = ids[order] << 32
+        hi = lo + (1 << 32)
+        codes = _NO_CODES
+        for arr in (self.main, *self.logs):
+            if len(arr):
+                start = arr.searchsorted(lo)
+                found = arr[ragged_arange(start, arr.searchsorted(hi) - start)]
+                codes = toggle_sorted(codes, found) if len(codes) else found
+        return codes, order.repeat(codes.searchsorted(hi) - codes.searchsorted(lo))

@@ -1,7 +1,8 @@
 """The array-backed conflict store against its dict-of-sets oracle.
 
 :class:`DynamicInterference` keeps the symmetric §2.4 conflict relation
-as one sorted array of slot-pair keys plus small add/remove logs.  These
+as one :class:`~repro.utils.arrays.CodeSet` of slot-pair keys: a sorted
+array plus a ladder of small toggle logs.  These
 tests drive three twins of one generated world through the same batches
 of grouped churn:
 
@@ -12,11 +13,11 @@ of grouped churn:
   ``apply_row_diffs`` (or one ``apply_row_diff`` at a time).
 
 Rows, degrees, stats (bar ``wall_time``) and diffs must agree exactly,
-with compaction forced after every merge, never, or in between.  Two
-further tests pin what the process pool relies on: worker outputs do
-not depend on the insertion order of a replica's dicts and sets, and
-the repair makes a fixed number of kernel calls and store merges
-whatever the number of groups.
+with the logs folding into the main array after every toggle, never,
+or in between.  Two further tests pin what the process pool relies on:
+worker outputs do not depend on the insertion order of a replica's
+dicts, and the repair makes a fixed number of kernel calls and store
+merges whatever the number of groups.
 """
 
 from collections import Counter
@@ -37,9 +38,9 @@ from repro import (
     group_events,
 )
 from repro._reference import ConflictRowsReference
-from repro.dynamic import interference as interference_mod
 from repro.geometry.spatialindex import DynamicGridIndex
 from repro.parallel.pool import TileWorkerPool
+from repro.utils.arrays import CodeSet
 from tests.test_dynamic_batch_kernels import HALF, SPACING, THETA, D, _prepare, churned_worlds
 
 
@@ -53,9 +54,9 @@ def _repair_items(inc, events, delta):
 @contextmanager
 def _compaction_at(fraction: float):
     """One-key smallest log, doubling logs, the last at ``fraction`` of the array."""
-    with mock.patch.object(interference_mod, "_COMPACT_FRACTION", fraction), mock.patch.object(
-        interference_mod, "_LOG_MIN", 1
-    ), mock.patch.object(interference_mod, "_LOG_RATIO", 2):
+    with mock.patch.object(CodeSet, "fold_fraction", fraction), mock.patch.object(
+        CodeSet, "fold_min", 1
+    ), mock.patch.object(CodeSet, "fold_ratio", 2):
         yield
 
 
@@ -114,8 +115,10 @@ def test_array_store_matches_dict_oracle(world, fraction, one_by_one):
                 inc.topology_version += 1
                 di._mark_synced()
                 _assert_same_rows(di, oracle)
-                for i, keys in enumerate(di._logs):
-                    assert len(keys) <= 2**i
+                caps = di._pairs.caps()
+                assert len(di._pairs.logs) <= len(caps)
+                for keys, cap in zip(di._pairs.logs, caps):
+                    assert len(keys) <= cap
             assert di_a.interference_sets() == di_r.interference_sets()
             assert di_a.check_full_equivalence() == 0
             assert not inc_a.check_full_equivalence()
@@ -138,7 +141,7 @@ def test_slot_reuse_before_compaction():
                 oracle.update_groups([_items_of(inc_o.apply(ev), inc_o)])[0]
             )
             _assert_same_rows(di, oracle)
-        assert sum(map(len, di._logs)) > 0  # nothing was compacted
+        assert sum(map(len, di._pairs.logs)) > 0  # nothing was folded
         assert di.check_full_equivalence() == 0
 
 
@@ -158,31 +161,36 @@ def test_nbytes_is_the_sum_of_the_arrays():
     gen = np.random.default_rng(8)
     inc = IncrementalTheta(gen.uniform(0.0, 2.0, (60, 2)), THETA, D)
     di = DynamicInterference(inc, 0.5)
-    nnz = len(di._pairs)
-    assert nnz == int(di.degree_array().sum())
+
+    def tables():
+        arrays = (di._codes, di._slots, di._slot_code, di._rad2, di._deg, di._free)
+        return sum(a.nbytes for a in arrays) + di._inc.nbytes
+
+    # Right after construction: the code table, the per-slot arrays, two
+    # incidence keys per edge and one key per entry of the relation, no
+    # CSR.
+    nnz = int(di.degree_array().sum())
+    assert len(di._pairs) == nnz
+    assert len(di._inc) == 2 * di.n_edges
+    assert di.nbytes == tables() + 8 * nnz
     di.update_event(inc.apply(NodeMove(3, 1.0, 1.0)))
-    assert di._csr is None
-    assert di.nbytes >= 8 * nnz
-    assert di.nbytes <= 24 * max(nnz, 1) + 64 * len(di._slot_code)
+    nnz = int(di.degree_array().sum())
+    assert tables() + 8 * nnz <= di.nbytes <= tables() + 24 * max(nnz, 1)
+    # A cached CSR counts until the next update drops it.
+    sets = di.interference_sets()
+    assert di.nbytes == tables() + 8 * nnz + sets.indptr.nbytes + sets.indices.nbytes
+    di.update_event(inc.apply(NodeMove(3, 0.5, 1.5)))
+    assert di.nbytes <= tables() + 24 * max(int(di.degree_array().sum()), 1)
 
 
 # ----------------------------------------------------------------------
 # Replica dict insertion order
 # ----------------------------------------------------------------------
-def _shuffled(value, gen):
-    """``value`` rebuilt with its keys / members inserted in random order."""
-    if isinstance(value, dict):
-        keys = list(value)
-        gen.shuffle(keys)
-        return {k: _shuffled(value[k], gen) for k in keys}
-    if isinstance(value, set):
-        members = list(value)
-        gen.shuffle(members)
-        out = set()
-        for m in members:
-            out.add(m)
-        return out
-    return value
+def _shuffled(value: dict, gen) -> dict:
+    """``value`` rebuilt with its keys inserted in random order."""
+    keys = list(value)
+    gen.shuffle(keys)
+    return {k: value[k] for k in keys}
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,9 +204,8 @@ def test_outputs_do_not_depend_on_replica_insertion_order(world, shuffle_seed):
         twins.append((inc, DynamicInterference(inc, delta)))
     (inc_a, di_a), (inc_b, di_b) = twins
     for events in batches:
-        # Rebuild the replica's dicts in shuffled order before each batch.
+        # Rebuild the replica's dict in shuffled order before each batch.
         inc_b._edge_dirs = _shuffled(inc_b._edge_dirs, gen)
-        di_b._incident = _shuffled(di_b._incident, gen)
 
         results = []
         for inc, di in twins:

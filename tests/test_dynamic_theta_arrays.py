@@ -241,6 +241,18 @@ def test_fast_cone_candidates_follow_the_query_cell_block():
     assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
 
 
+def test_slack_band_pair_is_an_edge_on_both_sides():
+    # The world above: node 3 joins at distance² 1 + 4.9e-13 of node 0,
+    # inside the 1e-12 slack.  The maintained topology keeps the edge,
+    # so a from-scratch ΘALG, whose static grid reads the same cell
+    # block, must keep it too.
+    pts = np.array([[0.5, 2.0], [3.0, 3.2], [6.0, 6.0]])
+    inc = IncrementalTheta(pts, math.pi / 9, 1.0)
+    inc.apply_batch([NodeMove(1, 0.5, 1.0 - 1e-13), NodeJoin(3, 0.5 + 7e-7, 1.0)])
+    assert (0, 3) in inc.edge_set()
+    assert inc.check_full_equivalence() == set()
+
+
 def test_region_state_round_trip():
     # A replica that takes a region's state ends equal on every key of it.
     gen = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry.spatialindex import GridIndex
+from repro.geometry.spatialindex import DynamicGridIndex, GridIndex
 
 coords = st.floats(0, 10, allow_nan=False)
 point_sets = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)), elements=coords)
@@ -135,3 +135,23 @@ class TestQueryRadiusMany:
         for q, c in enumerate(centers):
             got = indices[indptr[q] : indptr[q + 1]]
             assert np.array_equal(got, idx.query_radius(c, 2.5))
+
+
+class TestStaticMatchesDynamic:
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (0.3, -1.7), (-5.25, 2.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_hits_on_a_jittered_half_cell_lattice(self, origin, seed):
+        # Neighbours at exactly the radius, ±1e-13 off it, and pairs in
+        # the (r, √(r² + 1e-12)] slack band: both indexes place cells at
+        # multiples of the cell size, so they read the same cell block.
+        gen = np.random.default_rng(seed)
+        r = 1.0
+        pts = gen.integers(-4, 5, (60, 2)) * (r / 2) + np.array(origin)
+        pts = pts + gen.choice([-1e-13, 0.0, 1e-13], pts.shape)
+        static, dynamic = GridIndex(pts, cell=r), DynamicGridIndex(pts, cell=r)
+        for p in pts:
+            assert static.query_radius(p, r).tolist() == dynamic.query_radius(p, r).tolist()
+        indptr, hits = static.query_radius_many(pts, r)
+        want_indptr, want_hits = dynamic.query_radius_many(pts, r)
+        assert indptr.tolist() == want_indptr.tolist()
+        assert hits.tolist() == want_hits.tolist()

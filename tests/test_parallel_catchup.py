@@ -149,6 +149,11 @@ def _fresh_nodes(pool, wid, pos) -> np.ndarray:
     return np.array([tuple(c) not in stale for c in ij], dtype=bool)
 
 
+def _edges_at(di, u):
+    """Sorted codes of the edges at ``u`` in the conflict store's edge table."""
+    return np.sort(di._slot_code[di._edges_at([u])[0]])
+
+
 def _assert_fresh_keys_match(pool, shadow, wid, pos):
     """Every key of ``shadow`` outside the stale cells equals the parent's."""
     (par, pdi), (rep, rdi) = (pool.inc, pool.di), shadow
@@ -160,7 +165,7 @@ def _assert_fresh_keys_match(pool, shadow, wid, pos):
         assert np.array_equal(rep._yao[u], par._yao[u]), where
         assert np.array_equal(rep.in_neighbors(u), par.in_neighbors(u)), where
         assert np.array_equal(rep._adm[u], par._adm[u]), where
-        assert rdi._incident.get(u, set()) == pdi._incident.get(u, set()), where
+        assert np.array_equal(_edges_at(rdi, u), _edges_at(pdi, u)), where
 
     def fresh_codes(codes):
         codes = np.asarray(codes, dtype=np.int64)

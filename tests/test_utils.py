@@ -175,32 +175,74 @@ class TestUniqueHelpers:
         assert inverse.dtype == np.intp
 
 
+def _code(i):
+    """Codes (v << 32) | u for v, u < 8."""
+    return ((i >> 3) << 32) | (i & 7)
+
+
 class TestCodeSet:
     @given(
         start=st.sets(st.integers(0, 63), max_size=30),
-        edits=st.lists(st.sets(st.integers(0, 63), max_size=8), max_size=12),
-        fold_min=st.sampled_from([0, 3, 1024]),
+        edits=st.lists(st.sets(st.integers(0, 63), max_size=12), max_size=16),
+        fold_min=st.sampled_from([0, 1, 2, 1024]),
+        fold_ratio=st.sampled_from([2, 3, 8]),
+        fold_fraction=st.sampled_from([1 / 16, 1 / 2, 1e9]),
+        ids=st.lists(st.integers(0, 9), max_size=6, unique=True),
     )
-    def test_matches_a_python_set(self, start, edits, fold_min):
-        # Codes (v << 32) | u for v, u < 8; each edit flips a few codes.
-        def code(i):
-            return ((i >> 3) << 32) | (i & 7)
-
-        cs = CodeSet(np.array(sorted(code(i) for i in start), dtype=np.int64))
-        cs.fold_min = fold_min
-        want = {code(i) for i in start}
+    def test_matches_a_python_set(self, start, edits, fold_min, fold_ratio, fold_fraction, ids):
+        cs = CodeSet(np.array(sorted(_code(i) for i in start), dtype=np.int64))
+        cs.fold_min, cs.fold_ratio, cs.fold_fraction = fold_min, fold_ratio, fold_fraction
+        want = {_code(i) for i in start}
         for edit in edits:
-            flip = {code(i) for i in edit}
-            drop = np.array(sorted(flip & want), dtype=np.int64)
-            add = np.array(sorted(flip - want), dtype=np.int64)
-            cs.toggle(drop, add)
+            flip = {_code(i) for i in edit}
+            cs.toggle(
+                np.array(sorted(flip & want), dtype=np.int64),
+                np.array(sorted(flip - want), dtype=np.int64),
+            )
             want ^= flip
             assert len(cs) == len(want)
-            ids = [0, 3, 7, 5]
+            assert cs.nbytes == 8 * (len(cs.main) + sum(map(len, cs.logs)))
+            # Each log within its cap; a log past the last cap has folded.
+            caps = cs.caps()
+            assert caps[-1] == max(fold_min, fold_fraction * len(cs.main))
+            assert len(cs.logs) <= len(caps)
+            for log, cap in zip(cs.logs, caps):
+                assert len(log) <= cap
+            # The runs of ids in any order, across every live log.
             codes, owner = cs.runs(ids)
-            assert sorted(zip(owner.tolist(), codes.tolist())) == sorted(
-                (k, c) for k, v in enumerate(ids) for c in want if c >> 32 == v
-            )
+            assert list(zip(codes.tolist(), owner.tolist())) == [
+                (c, ids.index(c >> 32)) for c in sorted(want) if c >> 32 in ids
+            ]
         assert cs.array().tolist() == sorted(want)
-        assert len(cs.log) == 0
+        assert cs.logs == []
+        assert len(cs) == len(want)
 
+    def test_ladder_holds_several_logs_and_cascades_into_main(self):
+        cs = CodeSet(np.array([_code(i) for i in range(0, 64, 2)], dtype=np.int64))
+        cs.fold_min, cs.fold_ratio, cs.fold_fraction = 1, 2, 1 / 4
+        assert cs.caps() == [1, 2, 8]
+        want = set(cs.main.tolist())
+        for i in (1, 3, 5, 7):
+            cs.toggle(np.empty(0, dtype=np.int64), np.array([_code(i)], dtype=np.int64))
+            want.add(_code(i))
+        # 4 one-code edits: log 0 passes its cap and cascades up.
+        assert [len(log) for log in cs.logs] == [0, 0, 4]
+        cs.toggle(np.array([_code(0)], dtype=np.int64), np.array([_code(9)], dtype=np.int64))
+        want ^= {_code(0), _code(9)}
+        assert [len(log) for log in cs.logs] == [0, 2, 4]
+        # A code present in main and dropped in one log reads as absent.
+        codes, owner = cs.runs([1, 0])
+        assert codes.tolist() == sorted(c for c in want if c >> 32 < 2)
+        assert owner.tolist() == [1] * 7 + [0] * 5
+        # An edit of 3 codes goes straight to log 2.
+        add = np.array([_code(i) for i in (11, 13, 15)], dtype=np.int64)
+        cs.toggle(np.empty(0, dtype=np.int64), add)
+        want.update(add.tolist())
+        assert [len(log) for log in cs.logs] == [0, 2, 7]
+        # An edit past the last cap folds every log into main.
+        add = np.array([_code(i) for i in range(17, 35, 2)], dtype=np.int64)
+        cs.toggle(np.empty(0, dtype=np.int64), add)
+        want.update(add.tolist())
+        assert cs.logs == []
+        assert cs.main.tolist() == sorted(want)
+        assert len(cs) == len(want)
