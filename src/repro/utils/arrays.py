@@ -146,16 +146,16 @@ class CodeSet:
 
     A sorted ``main`` array and a ladder of sorted toggle ``logs``; the
     set holds the codes found in an odd number of them.  Log ``i`` holds
-    up to ``fold_min * fold_ratio**i`` codes, and the last log up to
-    ``limit = max(fold_min, fold_fraction * len(main))``: the last is
-    the first log whose successor would hold ``limit`` or more.
+    up to ``fold_min * fold_ratio**i`` codes while that is under half of
+    ``limit = max(fold_min, fold_fraction * len(main))``, and the last
+    log up to ``limit``.
     :meth:`toggle` merges an edit of k codes into the smallest log that
     holds k (one :func:`toggle_sorted`); a log past its cap folds into
     the next one, and the last into ``main`` together with every other
     log.  So an edit costs O(k + cap) plus amortized folds instead of a
     copy of the whole array, and ``main`` is copied once per ``limit``
-    codes edited.  With ``len(main) <= fold_min * fold_ratio /
-    fold_fraction`` there is one log.  :meth:`array` folds and returns
+    codes edited.  With ``len(main) <= 2 * fold_min / fold_fraction``
+    there is one log.  :meth:`array` folds and returns
     ``main``; :meth:`runs` reads the codes in ``[id << 32, (id + 1) <<
     32)`` for each id without folding.
     """
@@ -182,11 +182,11 @@ class CodeSet:
     def caps(self) -> "list[float]":
         """The cap of each log, smallest first."""
         limit = max(self.fold_min, self.fold_fraction * len(self.main))
-        caps = [self.fold_min]
-        while max(caps[-1], 1) * self.fold_ratio < limit:
-            caps.append(max(caps[-1], 1) * self.fold_ratio)
-        caps[-1] = limit
-        return caps
+        caps, cap = [], self.fold_min
+        while 2 * cap < limit:
+            caps.append(cap)
+            cap = max(cap, 1) * self.fold_ratio
+        return caps + [limit]
 
     def toggle(self, drop: np.ndarray, add: np.ndarray) -> None:
         """Remove the sorted ``drop`` (all present) and insert the sorted
