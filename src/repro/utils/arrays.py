@@ -148,16 +148,16 @@ class CodeSet:
     set holds the codes found in an odd number of them.  Log ``i`` holds
     up to ``fold_min * fold_ratio**i`` codes while that is under half of
     ``limit = max(fold_min, fold_fraction * len(main))``, and the last
-    log up to ``limit``.
-    :meth:`toggle` merges an edit of k codes into the smallest log that
-    holds k (one :func:`toggle_sorted`); a log past its cap folds into
-    the next one, and the last into ``main`` together with every other
-    log.  So an edit costs O(k + cap) plus amortized folds instead of a
-    copy of the whole array, and ``main`` is copied once per ``limit``
-    codes edited.  With ``len(main) <= 2 * fold_min / fold_fraction``
-    there is one log.  :meth:`array` folds and returns
-    ``main``; :meth:`runs` reads the codes in ``[id << 32, (id + 1) <<
-    32)`` for each id without folding.
+    log up to ``limit``; with ``len(main) <= 2 * fold_min /
+    fold_fraction`` there is one log.  :meth:`toggle` merges an edit of
+    k codes into the smallest log that holds k (one
+    :func:`toggle_sorted`); a log past its cap folds into the next one,
+    and the last into ``main`` together with every other log.  So an
+    edit costs O(k + cap) plus amortized folds instead of a copy of the
+    whole array, and ``main`` is copied once per ``limit`` codes
+    edited.  :meth:`array` folds and returns ``main``; :meth:`runs`
+    reads the codes in ``[id << 32, (id + 1) << 32)`` for each id
+    without folding.
     """
 
     #: Cap of the smallest log.
