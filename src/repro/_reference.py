@@ -43,6 +43,7 @@ __all__ = [
     "query_radius_reference",
     "records_of",
     "conflict_row_reference",
+    "incidence_reference",
     "edge_rad2_reference",
     "interference_sets_reference",
     "max_edge_stretch_reference",
@@ -558,23 +559,28 @@ def edge_rad2_reference(dyn, code: int) -> float:
     return r * r
 
 
-def conflict_row_reference(dyn, code: int) -> "set[int]":
+def incidence_reference(codes) -> "dict[int, set[int]]":
+    """Node → set of the edge codes at it, for packed ``(lo << 32) | hi`` codes."""
+    incident: "dict[int, set[int]]" = {}
+    for c in np.asarray(codes, dtype=np.int64).tolist():
+        incident.setdefault(c >> 32, set()).add(c)
+        incident.setdefault(c & 0xFFFFFFFF, set()).add(c)
+    return incident
+
+
+def conflict_row_reference(dyn, code: int, incident: "dict[int, set[int]]") -> "set[int]":
     """Per-row conflict recompute of ``DynamicInterference`` (pre-batching).
 
-    I(code) from current geometry, the tracked edges ``edge_codes()``
-    and the radii ``_rad2_of`` reads: one :func:`query_radius_reference`
-    per endpoint at the shared maximum guard reach, then per candidate
-    node ``u`` at squared distance ``d2`` from an endpoint, every edge
-    ``k`` at ``u`` (found by scanning every tracked edge) with ``d2 ≤
+    I(code) from current geometry, the node → edge map ``incident`` (see
+    :func:`incidence_reference`) and the radii ``_rad2_of`` reads: one
+    :func:`query_radius_reference` per endpoint at the shared maximum
+    guard reach, then per candidate node ``u`` at squared distance
+    ``d2`` from an endpoint, every edge ``k`` at ``u`` with ``d2 ≤
     r²(code)`` or ``d2 ≤ r²(k)``; ``code`` itself excluded.
     """
     index = dyn._index
     pab = index.positions_of(np.array([code >> 32, code & 0xFFFFFFFF], dtype=np.intp))
     r2_own = float(dyn._rad2_of(np.array([code], dtype=np.int64))[0])
-    incident: "dict[int, list[int]]" = {}
-    for c in dyn.edge_codes().tolist():
-        incident.setdefault(c >> 32, []).append(c)
-        incident.setdefault(c & 0xFFFFFFFF, []).append(c)
     row: "set[int]" = set()
     for p in pab:
         cand = query_radius_reference(index, p, dyn._r_in)
@@ -625,23 +631,16 @@ class ConflictRowsReference:
         edges = graph.edges
         codes = ((edges[:, 0].astype(np.int64) << 32) | edges[:, 1].astype(np.int64)).tolist()
         self._rows: "dict[int, set[int]]" = {}
-        self._incident: "dict[int, set[int]]" = {}
+        self._incident = incidence_reference(codes)
         self._rad2: "dict[int, float]" = {}
         lengths = graph.edge_lengths
         for k, code in enumerate(codes):
             self._rows[code] = {codes[j] for j in sets[k].tolist()}
             r = float(interference_radius(lengths[k], self.delta) * (1.0 - 1e-12))
             self._rad2[code] = r * r
-        for (lo, hi), code in zip(edges.tolist(), codes):
-            self._incident.setdefault(lo, set()).add(code)
-            self._incident.setdefault(hi, set()).add(code)
 
     def _rad2_of(self, codes) -> np.ndarray:
         return np.array([self._rad2[int(c)] for c in codes], dtype=np.float64)
-
-    def edge_codes(self) -> np.ndarray:
-        """Sorted codes of the tracked edges (those in the node → edge map)."""
-        return np.array(sorted(set().union(*self._incident.values())), dtype=np.int64)
 
     def rows(self) -> "dict[int, list[int]]":
         """Every row as a sorted code list, keyed by edge code."""
@@ -665,7 +664,7 @@ class ConflictRowsReference:
         codes = sorted(recompute)
         for c in codes:
             self._rad2[c] = edge_rad2_reference(self, c)
-        new_rows = [conflict_row_reference(self, c) for c in codes]
+        new_rows = [conflict_row_reference(self, c, self._incident) for c in codes]
         for c, row in zip(codes, new_rows):
             entries += self._splice_row(c, row, gained, lost)
         stats = ConflictRepairStats(

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from repro.utils.arrays import (
     member,
     merge_sorted,
     ragged_arange,
+    run_starts,
     sorted_unique,
     unique_inverse,
 )
@@ -311,14 +313,32 @@ class DynamicInterference:
         keys, owner = self._inc.runs(nodes)
         return keys & _MASK, owner
 
-    def _with_edges_at(self, codes: np.ndarray, nodes) -> np.ndarray:
-        """Sorted distinct ``codes`` and the codes of the edges at ``nodes``."""
-        slots, _ = self._edges_at(sorted_unique(np.fromiter(nodes, dtype=np.int64)))
-        return sorted_unique(np.concatenate([codes, self._slot_code[slots]]))
+    def _with_edges_at(self, codes: list, nodes: list) -> list:
+        """Per group ``g``: the sorted distinct ``codes[g]`` and the codes
+        of the edges at ``nodes[g]``, from one read of the index."""
+        sizes = [len(ns) for ns in nodes]
+        if not any(sizes):
+            return list(codes)
+        flat = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=sum(sizes))
+        uniq, inv = unique_inverse(flat)
+        slots, owner = self._edges_at(uniq)
+        per = np.bincount(owner, minlength=len(uniq))
+        found = self._slot_code[slots[ragged_arange((np.cumsum(per) - per)[inv], per[inv])]]
+        groups = np.arange(len(codes))
+        gid = np.concatenate(
+            [groups.repeat([len(c) for c in codes]), groups.repeat(sizes).repeat(per[inv])]
+        )
+        found = np.concatenate([*codes, found])
+        order = np.lexsort((found, gid))
+        gid, found = gid[order], found[order]
+        keep = run_starts(gid, found)
+        gid, found = gid[keep], found[keep]
+        cut = gid.searchsorted(np.arange(len(codes) + 1)).tolist()
+        return [found[a:b] for a, b in zip(cut, cut[1:])]
 
     def _track(self, codes: np.ndarray) -> np.ndarray:
-        """Give untracked ``codes`` free slots and enter them in the table
-        and the incidence index; returns the slots, aligned with ``codes``."""
+        """Give untracked ``codes`` free slots and enter them in the table;
+        returns the slots, aligned with ``codes``."""
         k = len(codes)
         if k == 0:
             return _NO_KEYS
@@ -335,7 +355,6 @@ class DynamicInterference:
         at = self._codes.searchsorted(codes[order])
         self._codes = np.insert(self._codes, at, codes[order])
         self._slots = np.insert(self._slots, at, slots[order])
-        self._inc.toggle(_NO_KEYS, _incidence(codes, slots))
         self._slot_code[slots] = codes
         return slots
 
@@ -353,8 +372,12 @@ class DynamicInterference:
         keep[pos] = False
         self._codes = self._codes[keep]
         self._slots = self._slots[keep]
-        self._inc.toggle(_incidence(codes, slots), _NO_KEYS)
         return slots
+
+    def _reindex(self, removed, rem_slots, added, add_slots) -> None:
+        """Bring the incidence index past :meth:`_untrack` of ``removed``
+        and :meth:`_track` of ``added``, in one toggle."""
+        self._inc.toggle(_incidence(removed, rem_slots), _incidence(added, add_slots))
 
     def _rows_of(self, slots: np.ndarray) -> np.ndarray:
         """Directed keys of the current rows of the sorted ``slots``, sorted."""
@@ -500,12 +523,11 @@ class DynamicInterference:
             )
             rem_slots = self._untrack(removed)
             add_slots = self._track(added)
+            self._reindex(removed, rem_slots, added, add_slots)
             # Rows to rebuild from geometry: added edges, plus the
             # persisting edges whose guard zones moved with a mover.
-            plans = [
-                (rc, ac, self._with_edges_at(ac, moved) if len(moved) else ac)
-                for (rc, ac), (_, _, moved) in zip(changes, items)
-            ]
+            rebuilt = self._with_edges_at([ac for _, ac in changes], [moved for *_, moved in items])
+            plans = [(rc, ac, codes) for (rc, ac), codes in zip(changes, rebuilt)]
             codes = np.concatenate([p[2] for p in plans]) if plans else _NO_KEYS
             rem_gid = np.repeat(np.arange(n_groups), [len(p[0]) for p in plans])
             rc_gid = np.repeat(np.arange(n_groups), [len(p[2]) for p in plans])
@@ -598,6 +620,7 @@ class DynamicInterference:
         ends, end_of = unique_inverse(np.concatenate([gained, lost]).ravel())
         slots = self._slot_of(ends)[end_of]
         rem_slots = self._untrack(removed)
+        self._reindex(removed, rem_slots, added, add_slots)
         rc_slots = self._slot_of(codes)
         self._rad2[rc_slots] = rad2
         a, b = slots[0::2], slots[1::2]
@@ -678,12 +701,12 @@ class DynamicInterference:
         recomputed from geometry.
         """
         codes, partners = state["codes"], state["partners"]
-        mine = self._with_edges_at(_NO_KEYS, nodes)
+        mine = self._with_edges_at([_NO_KEYS], [nodes])[0]
         drop = mine[~member(mine, codes)]
         known = np.concatenate([codes, partners])
         add = np.sort(known[~member(known, self._codes)])
         rem_slots = self._untrack(drop)
-        self._track(add)
+        self._reindex(drop, rem_slots, add, self._track(add))
         slots = self._slot_of(codes)
         self._rad2[slots] = state["rad2"]
         self._rad2[self._slot_of(partners)] = state["partner_rad2"]

@@ -237,5 +237,6 @@ class CodeSet:
             if len(arr):
                 start = arr.searchsorted(lo)
                 found = arr[ragged_arange(start, arr.searchsorted(hi) - start)]
-                codes = toggle_sorted(codes, found) if len(codes) else found
+                if len(found):
+                    codes = toggle_sorted(codes, found) if len(codes) else found
         return codes, order.repeat(codes.searchsorted(hi) - codes.searchsorted(lo))

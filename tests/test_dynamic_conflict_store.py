@@ -180,6 +180,8 @@ def test_nbytes_is_the_sum_of_the_arrays():
     sets = di.interference_sets()
     assert di.nbytes == tables() + 8 * nnz + sets.indptr.nbytes + sets.indices.nbytes
     di.update_event(inc.apply(NodeMove(3, 0.5, 1.5)))
+    assert di._csr is None
+    assert di.nbytes == tables() + di._pairs.nbytes
     assert di.nbytes <= tables() + 24 * max(int(di.degree_array().sum()), 1)
 
 

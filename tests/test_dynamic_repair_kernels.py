@@ -21,6 +21,7 @@ from repro._reference import (
     admissions_reference,
     conflict_row_reference,
     edge_rad2_reference,
+    incidence_reference,
     yao_choices_reference,
 )
 from repro.dynamic.interference import DynamicInterference
@@ -110,7 +111,8 @@ def test_batched_kernels_match_per_node_oracles(world, data):
     r2, rows = _rows_as_lists(dyn, codes)
     assert r2 == want_r2
     assert dyn._rad2_of(codes).tolist() == want_r2
-    assert rows == [sorted(conflict_row_reference(dyn, c)) for c in codes]
+    incident = incidence_reference(dyn.edge_codes())
+    assert rows == [sorted(conflict_row_reference(dyn, c, incident)) for c in codes]
     assert rows == [row.tolist() for row in dyn.conflict_rows(codes)]
 
 
@@ -130,7 +132,8 @@ def test_full_world_every_node_at_once():
     assert np.array_equal(inc._admissions_many(ids), inc._adm[ids])
     codes = dyn.edge_codes().tolist()
     _, rows = _rows_as_lists(dyn, codes)
-    assert rows == [sorted(conflict_row_reference(dyn, c)) for c in codes]
+    incident = incidence_reference(dyn.edge_codes())
+    assert rows == [sorted(conflict_row_reference(dyn, c, incident)) for c in codes]
 
 
 def test_empty_sets():
