@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.cli import main
 from repro.analysis.campaigns import campaign_claim_summary, group_reduce
 from repro.campaign.query import (
     QueryError,

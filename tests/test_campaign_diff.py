@@ -147,7 +147,7 @@ class TestRunDiff:
 
 class TestCLI:
     def run_cli(self, *argv):
-        from repro.__main__ import main
+        from repro.cli import main
 
         return main(["campaign", "diff", *argv])
 

@@ -7,20 +7,20 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
-from repro.harness.registry import REGISTRY
+from repro.cli import main
+from repro.harness.registry import REGISTRY, build_rows
 
 
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for key in EXPERIMENTS:
+        for key in REGISTRY:
             assert key in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["e99"]) == 2
-        assert "unknown" in capsys.readouterr().err
+        assert "invalid choice: 'e99'" in capsys.readouterr().err
 
     def test_quick_e1(self, capsys):
         assert main(["e1", "--quick"]) == 0
@@ -41,9 +41,8 @@ class TestCli:
 
     def test_every_quick_thunk_runs(self):
         """Every experiment's quick variant returns at least one row."""
-        for key, (_, _, quick) in EXPERIMENTS.items():
-            rows = quick()
-            assert rows, key
+        for key, claim in REGISTRY.items():
+            assert build_rows(claim, "quick"), key
 
 
 @pytest.fixture
@@ -236,15 +235,17 @@ class TestProcessBackendTrace:
     def test_dynamic_process_trace_has_worker_events(
         self, capsys, tmp_path, obs_off_after
     ):
-        """Satellite fix: a traced process-backend churn run must carry
-        worker-side span events, not just the parent's."""
+        """A traced process-backend churn run must carry worker-side
+        span events, not just the parent's.  This world gets one worker
+        (adaptive tiling); merging two workers' spans is pinned by
+        ``tests/test_obs_telemetry.py::TestCrossProcessTraceMerge``."""
         import os
 
         tdir = tmp_path / "trace"
         assert main([
             "dynamic", "--n", "200", "--churn", "0.02", "--steps", "5",
             "--parallel", "--backend", "process", "--workers", "2",
-            "--tiles", "2,1", "--trace", str(tdir),
+            "--trace", str(tdir),
         ]) == 0
         out = capsys.readouterr().out
         assert "backend: process" in out
@@ -253,7 +254,7 @@ class TestProcessBackendTrace:
         ]
         pids = {e["pid"] for e in events}
         assert os.getpid() in pids
-        assert len(pids) >= 3, f"no worker events in trace, pids={pids}"
+        assert len(pids) >= 2, f"no worker events in trace, pids={pids}"
         names = {e["name"] for e in events}
         assert "pool.apply_batch" in names
         assert "pool.batch" in names  # executed in the workers
@@ -261,50 +262,6 @@ class TestProcessBackendTrace:
         text = (tdir / "metrics.om").read_text()
         assert text.endswith("# EOF\n")
         assert 'name="pool.batches"' in text
-
-
-class TestDynamicTiles:
-    """``dynamic --tiles`` / ``--no-halo-filter`` on the process backend."""
-
-    BASE = [
-        "dynamic", "--n", "120", "--churn", "0.02", "--steps", "3",
-        "--parallel", "--backend", "process", "--workers", "2",
-    ]
-
-    def test_pinned_tile_shape_runs_clean(self, capsys):
-        assert main(self.BASE + ["--tiles", "3,3", "--mac"]) == 0
-        out = capsys.readouterr().out
-        assert "backend: process" in out
-        assert "edge-for-edge equal" in out
-        assert "row-for-row equal" in out
-        assert "diffs replayed" in out
-
-    def test_tile_count_and_no_halo_filter(self, capsys):
-        # A tile count clamps to the independence width: this world gets
-        # one tile, hence one worker, and nothing to broadcast.
-        assert main(self.BASE + ["--tiles", "6", "--no-halo-filter"]) == 0
-        out = capsys.readouterr().out
-        assert "backend: process" in out
-        assert "edge-for-edge equal" in out
-        assert main(self.BASE + ["--tiles", "2,1", "--no-halo-filter"]) == 0
-        out = capsys.readouterr().out
-        assert "suppressed: 0" in out  # broadcast mode never defers
-
-    def test_malformed_tiles_exits_2(self, capsys):
-        assert main(self.BASE + ["--tiles", "bogus"]) == 2
-        assert "--tiles expects" in capsys.readouterr().err
-        assert main(self.BASE + ["--tiles", "0,3"]) == 2
-        assert main(self.BASE + ["--tiles", "1,2,3"]) == 2
-
-    def test_parse_tiles_values(self):
-        from repro.__main__ import _parse_tiles
-
-        assert _parse_tiles(None) is None
-        assert _parse_tiles("8") == 8
-        assert _parse_tiles("4,2") == (4, 2)
-        assert _parse_tiles(" 3 , 3 ") == (3, 3)
-        with pytest.raises(ValueError):
-            _parse_tiles("-1")
 
 
 class TestTop:
@@ -391,9 +348,110 @@ class TestDynamicEventsIO:
         assert rc == 2
         assert "cannot load events" in capsys.readouterr().err
 
+    def test_events_in_empty_trace_exits_2(self, capsys, tmp_path):
+        from repro.dynamic.events import EventTrace, event_trace_to_dict
+
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(event_trace_to_dict(EventTrace([]))))
+        assert main(["dynamic", "--n", "50", "--events-in", str(path)]) == 2
+        assert "holds no events" in capsys.readouterr().err
+
 
 class TestServeArgs:
     @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
     def test_port_out_of_range_exits_2(self, capsys, port):
         assert main(["serve", "--port", port]) == 2
-        assert "--port must be in 0..65535" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --port" in err and "0..65535" in err
+
+
+def _table_value(out: str, column: str) -> str:
+    """The first data row's ``column`` cell of the first table naming it."""
+    lines = out.splitlines()
+    for i, line in enumerate(lines):
+        header = [c.strip() for c in line.split("|")]
+        if column in header:
+            return [c.strip() for c in lines[i + 2].split("|")][header.index(column)]
+    raise AssertionError(f"no table with column {column!r} in output")
+
+
+class TestSessionReplay:
+    """A session's recorded events replay through ``repro dynamic``."""
+
+    def test_session_trace_replays_at_its_steps(self, capsys, tmp_path):
+        from repro.service.protocol import parse_session_config
+        from repro.service.session import Session
+
+        session = Session("rt", parse_session_config({"n": 80, "seed": 5, "delta": 0.5}))
+        try:
+            session.inject([
+                {"kind": "fail", "node": 3},
+                {"kind": "move", "node": 4, "pos": [0.4, 0.6]},
+            ])
+            session.advance(2)
+            session.inject([
+                {"kind": "join", "node": 80, "pos": [0.5, 0.5]},
+                {"kind": "recover", "node": 3},
+                {"kind": "leave", "node": 5},
+            ])
+            session.advance(1)
+            doc = session.events_trace()
+            n_alive = session.dynamic.incremental.n_alive
+        finally:
+            session.close()
+        assert [row["t"] for row in doc["events"]] == [0, 0, 2, 2, 2]
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+
+        base = ["dynamic", "--n", "80", "--seed", "5", "--mac", "--delta", "0.5",
+                "--events-in", str(path)]
+        for extra in ([], ["--parallel"]):
+            assert main(base + extra) == 0
+            out = capsys.readouterr().out
+            assert "replay of 5 events over 2 steps" in out
+            assert "edge-for-edge equal" in out
+            assert "row-for-row equal" in out
+            assert int(_table_value(out, "live_n")) == n_alive
+        assert "batch groups: 2 across 2 steps" in out
+
+
+BAD_INPUTS = [
+    (["dynamic", "--seed", "-1"], "--seed"),
+    (["dynamic", "--mac", "--delta", "-1"], "--delta"),
+    (["dynamic", "--churn", "nan"], "--churn"),
+    (["dynamic", "--churn", "inf"], "--churn"),
+    (["dynamic", "--churn", "0"], "--churn"),
+    (["dynamic", "--workers", "3"], "--workers"),
+    (["dynamic", "--parallel", "--backend", "process", "--workers", "0"], "--workers"),
+    (["dynamic", "--n", "3"], "--n"),
+    (["dynamic", "--steps", "0"], "--steps"),
+    (["campaign", "run", "spec.json", "--jobs", "0"], "--jobs"),
+    (["campaign", "run", "spec.json", "--max-cells", "-1"], "--max-cells"),
+    (["serve", "--port", "70000"], "--port"),
+    (["serve", "--max-sessions", "0"], "--max-sessions"),
+    (["serve", "--session-ttl", "0"], "--session-ttl"),
+    (["top", "store", "--watch", "nan"], "--watch"),
+    (["verify", "--jobs", "0"], "--jobs"),
+    # A flag of another command is refused, not ignored.
+    (["e1", "--jobs", "4"], "--jobs"),
+    (["verify", "--n", "10"], "--n"),
+    (["list", "--trace", "d"], "--trace"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, flag", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys, monkeypatch):
+        from repro.parallel import pool
+        from repro.service import server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad input must not start a pool or a server")
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setattr(pool.TileWorkerPool, "__init__", refuse)
+        monkeypatch.setattr(server, "serve", refuse)
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.cli import main
 from repro.campaign import CampaignSpec, run_cell
 from repro.harness import cache as cache_mod
 from repro.harness.cache import SubstrateCache, points_digest

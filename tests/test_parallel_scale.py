@@ -228,6 +228,7 @@ class TestHaloSubscriptions:
             assert filt.diffs_suppressed_total <= bcast.diffs_replayed_total + sum(
                 len(p) for p in bcast._pending
             )
+            assert bcast.diffs_suppressed_total == 0
 
     def test_distant_clusters_suppress_deliveries(self):
         # Two dense clusters ≫ (9+3Δ)D apart on a 2×1 grid: each worker
@@ -322,6 +323,33 @@ class TestHaloSubscriptions:
             stats = pool.apply_batch([NodeMove(node=node, x=x + 1e-3, y=y)])
             assert stats.jobs == 1
             assert not inc.check_full_equivalence()
+
+    def test_tile_count_clamps_to_independence_width(self):
+        # The world of ``repro dynamic --n 120 --churn 0.02 --steps 3``:
+        # an integer tile count never goes below the independence width,
+        # so this unit square gets one tile and hence one worker.
+        from repro.harness.cache import cached_range
+        from repro.utils.rng import as_rng
+
+        gen = as_rng(23)
+        pts = uniform_points(120, rng=gen)
+        d0 = cached_range(pts, 1.5)
+        events = list(random_event_trace(pts, 7, move_sigma=d0 / 2.0, rng=gen).events())
+        inc, di = self._twins(pts, d0)
+        inc_s, di_s = self._twins(pts, d0)
+        with TileWorkerPool(
+            inc, di, workers=2, capacity=_capacity(inc, events), tiles=6
+        ) as pool:
+            assert pool.grid.n_tiles == 1
+            assert pool.workers == 1
+            for lo in range(0, len(events), 2):
+                pool.apply_batch(events[lo : lo + 2])
+                for ev in events[lo : lo + 2]:
+                    di_s.update_event(inc_s.apply(ev))
+                assert inc.edge_set() == inc_s.edge_set()
+                assert di.interference_sets() == di_s.interference_sets()
+        assert not inc.check_full_equivalence()
+        assert di.check_full_equivalence() == 0
 
     def test_pool_telemetry_carries_halo_traffic(self):
         pts = uniform_points(100, rng=21)
